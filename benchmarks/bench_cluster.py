@@ -93,7 +93,6 @@ from repro.obs.metrics import Histogram
 from repro.obs.slo import SLOEngine, default_objectives
 from repro.obs.trace import TraceConfig, stage_breakdown, write_jsonl
 from repro.service import ModelRegistry, ServiceCluster, TuningService
-from repro.service.shm import leaked_segments
 from repro.stencil.instance import StencilInstance
 from repro.stencil.kernel import StencilKernel
 from repro.stencil.shapes import TRAINING_SHAPES
@@ -394,10 +393,6 @@ def bench_chaos(
             events = list(cluster.events)
         # corrupted tags.json was contained: the mirror still resolves
         assert ModelRegistry(tmp).resolve("prod") == "v0001"
-        # crash-safety of the slab transport: a soak full of SIGKILLs,
-        # restarts and quarantines must leave nothing behind in /dev/shm
-        leaked = leaked_segments(f"rsl-{os.getpid()}-")
-        assert leaked == [], f"leaked shared-memory segments: {leaked}"
 
     all_answers = answers + degraded_answers
     assert len(all_answers) == len(instances) + len(degraded_slice), (
@@ -456,7 +451,6 @@ def bench_chaos(
         ),
         "audit_entries": n_audit,
         "audit_chain_ok": True,
-        "shm_leaked_segments": 0,  # hard-asserted above
         "audit_counts": {
             k: counts.get(k, 0)
             for k in ("worker-exit", "quarantine", "readmit", "answer",

@@ -66,10 +66,8 @@ def _sequential(tuner: OrdinalAutotuner, instances, presets) -> tuple[list, floa
     return rankings, time.perf_counter() - start
 
 
-async def _serve(
-    registry: ModelRegistry, instances, dtype: str = "float64"
-) -> tuple[list, float, dict]:
-    async with TuningService(registry, dtype=dtype) as service:
+async def _serve(registry: ModelRegistry, instances) -> tuple[list, float, dict]:
+    async with TuningService(registry) as service:
         start = time.perf_counter()
         responses = await asyncio.gather(*(service.rank(q) for q in instances))
         elapsed = time.perf_counter() - start
@@ -104,45 +102,6 @@ def bench_service(n_requests: int = N_CONCURRENT, tuner=None) -> dict:
         "stats": stats,
         "_served": served,
         "_sequential": sequential,
-    }
-
-
-def bench_float32(
-    n_requests: int = N_CONCURRENT, tuner=None, top_k: int = 8
-) -> dict:
-    """The opt-in float32 serving path vs the float64 default.
-
-    Measures wall clock for the same mixed preset load on both dtypes and
-    pins how closely the float32 ranking tracks float64: exact top-k list
-    matches, top-k set overlap, and top-1 agreement.  The float64 default
-    keeps the bit-identity guarantee; float32 trades a documented sliver
-    of ranking stability for smaller score buffers.
-    """
-    tuner = tuner or _train_tuner()
-    instances = _workload(n_requests)
-    with TemporaryDirectory() as tmp:
-        registry = ModelRegistry(tmp)
-        registry.publish(tuner.model, tuner.fingerprint(), tags=("prod",))
-        served64, s64, _ = asyncio.run(_serve(registry, instances))
-        served32, s32, _ = asyncio.run(_serve(registry, instances, dtype="float32"))
-    overlaps, exact, top1 = [], 0, 0
-    for r64, r32 in zip(served64, served32):
-        k64, k32 = r64[:top_k], r32[:top_k]
-        exact += k64 == k32
-        top1 += k64[0] == k32[0]
-        set64 = {v.as_tuple() for v in k64}
-        set32 = {v.as_tuple() for v in k32}
-        overlaps.append(len(set64 & set32) / max(len(set64), 1))
-    return {
-        "kind": "float32",
-        "n_requests": n_requests,
-        "top_k": top_k,
-        "float64_s": s64,
-        "float32_s": s32,
-        "float32_speedup_vs_float64": s64 / s32,
-        "topk_exact_match_rate": exact / n_requests,
-        "topk_overlap_mean": sum(overlaps) / len(overlaps),
-        "top1_agreement": top1 / n_requests,
     }
 
 
@@ -192,16 +151,6 @@ def main() -> None:
             f"hit rate {row['stats']['cache_hit_rate']:.2f}  "
             f"p99 {row['stats']['latency_p99_ms']:.1f} ms"
         )
-    f32 = bench_float32(N_CONCURRENT, tuner)
-    rows.append(f32)
-    print(
-        f"float32: {f32['float32_s'] * 1e3:8.1f} ms vs "
-        f"float64 {f32['float64_s'] * 1e3:8.1f} ms "
-        f"({f32['float32_speedup_vs_float64']:.2f}x)  "
-        f"top-{f32['top_k']} exact {f32['topk_exact_match_rate']:.1%}  "
-        f"overlap {f32['topk_overlap_mean']:.1%}  "
-        f"top-1 {f32['top1_agreement']:.1%}"
-    )
     payload = {
         "benchmark": "TuningService (micro-batched + cached) vs sequential tune()",
         "workload": (
@@ -214,7 +163,7 @@ def main() -> None:
     ARTIFACTS.mkdir(parents=True, exist_ok=True)
     OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {OUT_PATH}")
-    headline = rows[1]  # the N_CONCURRENT service row, not the float32 row
+    headline = next(row for row in rows if row["n_requests"] == N_CONCURRENT)
     append_row(
         HISTORY_PATH,
         ledger_row(

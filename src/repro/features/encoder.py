@@ -290,7 +290,6 @@ class FeatureEncoder:
         self,
         requests: Sequence[tuple[StencilInstance, Sequence[TuningVector]]],
         out: "np.ndarray | None" = None,
-        dtype: "np.dtype | type | str" = np.float64,
     ) -> np.ndarray:
         """Encode several candidate sets of *different* instances at once.
 
@@ -305,25 +304,16 @@ class FeatureEncoder:
         whole mixed batch becomes a single matrix ready for one stacked
         ``decision_function`` call.
 
-        ``out`` optionally supplies a preallocated C-contiguous
+        ``out`` optionally supplies a preallocated C-contiguous float64
         ``(>= total rows, num_features)`` buffer; the returned matrix is a
         view of its first rows, every cell overwritten.  A serving loop
         encoding slab after slab reuses one resident buffer instead of
         faulting in a fresh ~100 MB allocation per pass — on the measured
         preset workloads that allocation churn, not the arithmetic, was
         the dominant cost of large mixed batches.
-
-        ``dtype`` selects the output precision (``float64`` default, or
-        ``float32`` for the opt-in reduced-precision serving path); when
-        ``out`` is supplied its dtype wins and must be one of the two.
-        Intermediate arithmetic stays float64 either way — narrowing
-        happens once, on the block writes into the destination.
         """
-        dtype = np.dtype(dtype)
-        if dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"dtype must be float64 or float32, got {dtype}")
         if not requests:
-            return np.empty((0, self.num_features), dtype=dtype)
+            return np.empty((0, self.num_features))
         counts = [len(tunings) for _, tunings in requests]
         total = sum(counts)
         flat = [t.as_tuple() for _, tunings in requests for t in tunings]
@@ -337,17 +327,14 @@ class FeatureEncoder:
         # temporaries — that keeps the fused path at encode_batch's
         # bytes-written-once memory traffic
         if out is None:
-            out = np.empty((total, self.num_features), dtype=dtype)
+            out = np.empty((total, self.num_features))
         else:
             if out.ndim != 2 or out.shape[1] != self.num_features:
                 raise ValueError(
                     f"out must be (rows, {self.num_features}), got {out.shape}"
                 )
-            if out.dtype not in (np.dtype(np.float64), np.dtype(np.float32)):
-                # the buffer's dtype decides the serving precision; anything
-                # other than the two supported float widths would silently
-                # cast every block write to something untested
-                raise ValueError(f"out must be float64 or float32, got {out.dtype}")
+            if out.dtype != np.float64:
+                raise ValueError(f"out must be float64, got {out.dtype}")
             if out.shape[0] < total:
                 raise ValueError(
                     f"out has {out.shape[0]} rows, batch needs {total}"

@@ -58,20 +58,30 @@ LEDGER_SCHEMA_VERSION = 1
 DEFAULT_WINDOW = 8
 
 
-def git_sha(cwd: "str | Path | None" = None) -> str:
-    """The current git commit SHA, or ``"unknown"`` outside a checkout."""
+def _git(*args: str, cwd: "str | Path | None" = None) -> "str | None":
+    """stdout of one git command, or None when git is unavailable or fails."""
     try:
         out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
+            ["git", *args],
             cwd=str(cwd) if cwd else None,
             capture_output=True,
             text=True,
             timeout=10,
         )
     except (OSError, subprocess.TimeoutExpired):
-        return "unknown"
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else "unknown"
+        return None
+    return out.stdout if out.returncode == 0 else None
+
+
+def git_sha(cwd: "str | Path | None" = None) -> str:
+    """The current git commit SHA, or ``"unknown"`` outside a checkout."""
+    return (_git("rev-parse", "HEAD", cwd=cwd) or "").strip() or "unknown"
+
+
+def _git_dirty() -> "bool | None":
+    """Whether tracked files have uncommitted changes (None: git unavailable)."""
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return None if status is None else bool(status.strip())
 
 
 def ledger_row(
@@ -84,7 +94,9 @@ def ledger_row(
     ``metrics`` holds the headline numbers the regression sentinel will
     trend (scalar floats only — rich per-row structure belongs in the
     benchmark's own JSON).  ``extra`` is free-form provenance (workload
-    shape, env knobs) excluded from trend comparisons.
+    shape, env knobs) excluded from trend comparisons.  ``dirty`` records
+    whether tracked files had uncommitted changes, so a row measured on
+    edited sources is never mistaken for its ``git_sha``.
     """
     clean: dict[str, float] = {}
     for key, value in metrics.items():
@@ -95,6 +107,7 @@ def ledger_row(
         "schema": LEDGER_SCHEMA_VERSION,
         "benchmark": str(benchmark),
         "git_sha": git_sha(),
+        "dirty": _git_dirty(),
         "cpu_count": os.cpu_count() or 1,
         "metrics": clean,
     }
@@ -211,8 +224,11 @@ def check_regression(
     ``min_history`` prior samples are reported as ``"insufficient-history"``
     and never flagged — a fresh clone cannot fail its first run.
 
-    Two degenerate-window guards keep the median honest:
+    Three guards keep the median honest:
 
+    * only rows taken at this machine's ``cpu_count`` are compared (rows
+      without the field are kept) — a run on more cores is not a
+      speedup of the code, nor a run on fewer a regression;
     * rows whose ``git_sha`` equals ``current_sha`` are excluded — a
       driver that already appended this run's row (or ran twice per
       invocation) must not let the sentinel compare a commit against
@@ -227,6 +243,8 @@ def check_regression(
         dict(row) for row in history
         if row.get("benchmark") == benchmark and isinstance(row.get("metrics"), dict)
     ]
+    cpus = os.cpu_count() or 1
+    prior = [row for row in prior if row.get("cpu_count") in (None, cpus)]
     if current_sha and current_sha != "unknown":
         prior = [row for row in prior if row.get("git_sha") != current_sha]
     prior = _collapse_duplicate_shas(prior)

@@ -25,7 +25,6 @@ from repro.tuning.vector import TuningVector
 
 __all__ = [
     "CachedRanking",
-    "EncodeCache",
     "InternedCandidates",
     "RankingCache",
     "candidate_set_hash",
@@ -203,126 +202,4 @@ class RankingCache:
         return (
             f"RankingCache({len(self._data)}/{self.max_entries} entries, "
             f"hit_rate={self.hit_rate:.2f})"
-        )
-
-
-class EncodeCache:
-    """Encoded feature matrices keyed by **instance hash alone**.
-
-    The ranking cache keys on (instance, candidate set, model version), so
-    a model hot-swap — the continual-learning loop's steady state — cold-
-    starts every entry even though the *features* of a repeat instance are
-    byte-for-byte what they were under the old version.  This cache holds
-    the encoded matrix one level down: keyed by ``instance_hash`` only, a
-    repeat instance skips ``encode_many`` entirely regardless of which
-    model version answers.
-
-    The candidate-set digest rides along as a guard value, not a key part:
-    a request for the same instance with a *different* candidate set is a
-    miss (and replaces the entry — per instance, the latest set wins,
-    matching the preset-dominated traffic where one instance has one set).
-
-    Bounded by total cached **rows** rather than entry count, since entry
-    sizes vary by candidate-set size; eviction is LRU.  Stored matrices
-    are read-only and owned by the cache (callers' scratch buffers are
-    recycled every pass, so insertion copies).
-
-    Insertion is **on second touch** (default): the first encode of an
-    instance only records its key, and the entry is stored when the same
-    encode *repeats* — a re-encode after a hot-swap or an eviction, the
-    exact demand this cache exists to absorb.  A preset-sized entry is a
-    ~44 MB copy (8640 rows × 637 features × float64), so paying it for
-    every cold instance would tax the common serving path for a reuse
-    that may never come; second-touch insertion keeps the cold path at
-    the cost of one dict write.  ``second_touch=False`` stores eagerly.
-    """
-
-    #: first-touch keys remembered (ints only; ~2 MB at the cap)
-    MAX_FIRST_TOUCH = 65536
-
-    def __init__(self, max_rows: int = 262144, second_touch: bool = True) -> None:
-        if max_rows < 1:
-            raise ValueError(f"max_rows must be >= 1, got {max_rows}")
-        self.max_rows = max_rows
-        self.second_touch = second_touch
-        self._data: "OrderedDict[int, tuple[int, np.ndarray]]" = OrderedDict()
-        #: instance_key -> candidates_hash of a recorded first-touch encode
-        self._first_touch: "OrderedDict[int, int]" = OrderedDict()
-        self._rows = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        #: first-touch encodes recorded instead of stored
-        self.deferred = 0
-
-    def get(self, instance_key: int, candidates_hash: int) -> "np.ndarray | None":
-        """The cached matrix for (instance, this exact candidate set) or None."""
-        entry = self._data.get(instance_key)
-        if entry is None or entry[0] != candidates_hash:
-            self.misses += 1
-            return None
-        self._data.move_to_end(instance_key)
-        self.hits += 1
-        return entry[1]
-
-    def put(self, instance_key: int, candidates_hash: int, X: np.ndarray) -> None:
-        """Insert an owned, read-only copy; oversized matrices are skipped.
-
-        Under second-touch insertion the first ``put`` for a given
-        ``(instance, candidate set)`` records the key and returns without
-        copying; the entry is stored when that exact encode repeats.
-        """
-        rows = int(X.shape[0])
-        if rows > self.max_rows:
-            return
-        if self.second_touch and self._first_touch.get(instance_key) != candidates_hash:
-            self._first_touch[instance_key] = candidates_hash
-            self._first_touch.move_to_end(instance_key)
-            while len(self._first_touch) > self.MAX_FIRST_TOUCH:
-                self._first_touch.popitem(last=False)
-            self.deferred += 1
-            return
-        # stored entries must re-prove demand after an eviction, so the
-        # first-touch record is consumed, not kept
-        self._first_touch.pop(instance_key, None)
-        old = self._data.pop(instance_key, None)
-        if old is not None:
-            self._rows -= old[1].shape[0]
-        owned = np.array(X)  # copy — the caller's buffer is scratch
-        owned.setflags(write=False)
-        self._data[instance_key] = (candidates_hash, owned)
-        self._rows += rows
-        while self._rows > self.max_rows:
-            _, (_, evicted) = self._data.popitem(last=False)
-            self._rows -= evicted.shape[0]
-            self.evictions += 1
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def clear(self) -> None:
-        self._data.clear()
-        self._first_touch.clear()
-        self._rows = 0
-
-    def snapshot(self) -> dict:
-        return {
-            "encode_cache_entries": len(self._data),
-            "encode_cache_rows": self._rows,
-            "encode_cache_hits": self.hits,
-            "encode_cache_misses": self.misses,
-            "encode_cache_hit_rate": self.hit_rate,
-            "encode_cache_evictions": self.evictions,
-            "encode_cache_deferred": self.deferred,
-        }
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"EncodeCache({len(self._data)} entries, {self._rows}/{self.max_rows} "
-            f"rows, hit_rate={self.hit_rate:.2f})"
         )

@@ -8,7 +8,8 @@ make it fast under load:
 1. **Micro-batching** — concurrent requests are coalesced by a
    :class:`~repro.service.batching.MicroBatcher`; each batch is encoded by
    ``FeatureEncoder.encode_many`` and scored with *one* stacked
-   ``decision_function`` call across all instances in the batch.
+   ``decision_function`` call across all instances in the batch (split
+   into passes of at most :data:`MAX_ROWS_PER_PASS` candidate rows).
 2. **Ranking cache** — answers are memoized per (instance fingerprint,
    candidate-set hash, model version); repeat queries return without
    re-encoding (:class:`~repro.service.cache.RankingCache`).
@@ -18,9 +19,10 @@ make it fast under load:
    requests.  Loaded models are validated against the service encoder's
    fingerprint and memoized per version.
 
-Answers are bit-identical to :meth:`OrdinalAutotuner.rank_candidates` for
-the same model version: the same encoder rows, the same ``X @ w`` scoring,
-the same stable argsort tie-breaking.
+There is one scoring path: float64 encoder rows, ``model.decision_function``
+(``X @ w``), then a stable argsort.  Answers are therefore bit-identical to
+:meth:`OrdinalAutotuner.rank_candidates` for the same model version: the
+same encoder rows, the same ``X @ w`` scoring, the same tie-breaking.
 
 Scoring runs inline on the event loop — it is a NumPy matrix product that
 releases the GIL and takes well under a millisecond per query, so handing
@@ -43,7 +45,6 @@ from repro.learn.ranksvm import RankSVM
 from repro.service.batching import MicroBatcher
 from repro.service.cache import (
     CachedRanking,
-    EncodeCache,
     InternedCandidates,
     RankingCache,
     candidate_set_hash,
@@ -55,7 +56,14 @@ from repro.stencil.instance import StencilInstance
 from repro.tuning.presets import preset_candidates
 from repro.tuning.vector import TuningVector
 
-__all__ = ["RankingResponse", "TuningService"]
+__all__ = ["MAX_ROWS_PER_PASS", "RankingResponse", "TuningService"]
+
+#: cap on candidate rows encoded+scored in one fused pass.  A batch of many
+#: distinct preset-sized instances would otherwise stack a multi-GB feature
+#: matrix whose transients are page-fault-bound (measured ~5× slower than
+#: the same rows in bounded slabs); the slab boundary never splits one
+#: request, so answers stay bit-identical — each row's X @ w is independent
+MAX_ROWS_PER_PASS = 32768
 
 
 @dataclass(frozen=True)
@@ -105,11 +113,9 @@ class _Pending:
     top_k: "int | None" = None
     #: trace identity when sampled (None: untraced, no span work at all)
     trace: "TraceContext | None" = None
-    #: fused-pass timestamps ``(slab_start, encoded, scored, slab_rows,
-    #: encode_cached)`` stamped on every traced request that was scored
-    #: (``encode_cached`` marks a zero-width encode served by the
-    #: instance-keyed encode cache)
-    t_slab: "tuple[float, float, float, int, bool] | None" = field(
+    #: fused-pass timestamps ``(slab_start, encoded, scored, slab_rows)``
+    #: stamped on every traced request that was scored
+    t_slab: "tuple[float, float, float, int] | None" = field(
         default=None, repr=False
     )
 
@@ -135,43 +141,15 @@ class TuningService:
         cache_entries: int = 4096,
         latency_window: int = 4096,
         max_cached_models: int = 8,
-        max_rows_per_pass: int = 32768,
-        dtype: str = "float64",
-        encode_cache_rows: int = 0,
     ) -> None:
         if max_cached_models < 1:
             raise ValueError(f"max_cached_models must be >= 1, got {max_cached_models}")
-        if max_rows_per_pass < 1:
-            raise ValueError(f"max_rows_per_pass must be >= 1, got {max_rows_per_pass}")
-        if np.dtype(dtype) not in (np.dtype(np.float64), np.dtype(np.float32)):
-            raise ValueError(f"dtype must be float64 or float32, got {dtype}")
         self.registry = registry
         self.encoder = encoder or FeatureEncoder()
         self.default_model = default_model
         self.cache = RankingCache(cache_entries)
         self.telemetry = ServiceTelemetry(latency_window)
         self.max_cached_models = max_cached_models
-        #: serving precision: float64 (default, bit-identical to the
-        #: offline ranker) or float32 (opt-in; rank order pinned by top-k
-        #: agreement, not bit identity — see docs/serving.md)
-        self.dtype = np.dtype(dtype)
-        #: per-version float32 weight vectors (float32 serving only) —
-        #: scoring must be X32 @ w32 end to end; routing float32 rows
-        #: through ``decision_function`` would silently upcast to float64
-        self._w32: dict[str, np.ndarray] = {}
-        #: encoded-matrix cache keyed by instance hash alone (off by
-        #: default in-process; cluster workers enable it so repeat
-        #: instances survive model hot-swaps without re-encoding)
-        self.encode_cache = (
-            EncodeCache(encode_cache_rows) if encode_cache_rows > 0 else None
-        )
-        #: cap on candidate rows encoded+scored in one fused pass.  A batch
-        #: of many distinct preset-sized instances would otherwise stack a
-        #: multi-GB feature matrix whose transients are page-fault-bound
-        #: (measured ~5× slower than the same rows in bounded slabs); the
-        #: slab boundary never splits one request, so answers stay
-        #: bit-identical — each row's X @ w is independent
-        self.max_rows_per_pass = max_rows_per_pass
         #: resident encode buffer reused across fused passes (lazily sized);
         #: without it every slab faults in a fresh ~100 MB allocation, which
         #: dominates large mixed batches on first touch
@@ -215,9 +193,6 @@ class TuningService:
             cache_entries=config.cache_entries,
             latency_window=config.latency_window,
             max_cached_models=config.max_cached_models,
-            max_rows_per_pass=config.max_rows_per_pass,
-            dtype=config.dtype,
-            encode_cache_rows=config.encode_cache_rows,
         )
 
     # -- lifecycle -------------------------------------------------------------
@@ -366,10 +341,7 @@ class TuningService:
 
     def stats(self) -> dict:
         """Telemetry + cache counters in one flat dict."""
-        merged = {**self.telemetry.snapshot(), **self.cache.snapshot()}
-        if self.encode_cache is not None:
-            merged.update(self.encode_cache.snapshot())
-        return merged
+        return {**self.telemetry.snapshot(), **self.cache.snapshot()}
 
     # -- batch processing ------------------------------------------------------
 
@@ -426,7 +398,7 @@ class TuningService:
         scored, the duplicates are answered from the just-cached entry —
         a repeat instance never pays for encoding twice, even before the
         LRU has seen it.  Representatives are packed into slabs of at most
-        ``max_rows_per_pass`` candidate rows (never splitting one request),
+        ``MAX_ROWS_PER_PASS`` candidate rows (never splitting one request),
         so a batch of many distinct preset-sized instances keeps its
         transient arrays memory-resident instead of stacking one giant
         feature matrix.
@@ -441,32 +413,6 @@ class TuningService:
             for req in reqs:
                 self._fail(req, exc)
             return
-        if self.encode_cache is not None:
-            # the instance-keyed cache answers the *encode*, not the
-            # ranking: hits skip encode_many entirely (a repeat instance
-            # after a model hot-swap is the designed case) and go straight
-            # to scoring; misses fall through to the fused slab passes
-            uncached: list[_Pending] = []
-            for rep in reps:
-                X = self.encode_cache.get(rep.cache_key[0], rep.candidates_hash)
-                if X is None:
-                    uncached.append(rep)
-                    continue
-                t_start = time.monotonic()
-                try:
-                    s = self._score(version, model, X)
-                except Exception as exc:
-                    for req in unique[rep.cache_key]:
-                        self._fail(req, exc)
-                    continue
-                t_scored = time.monotonic()
-                self.telemetry.record_scored(len(X))
-                group = unique[rep.cache_key]
-                for req in group:
-                    if req.trace is not None:
-                        req.t_slab = (t_start, t_start, t_scored, len(X), True)
-                self._finish_group(version, group, s)
-            reps = uncached
         for slab in self._slabs(reps):
             # time.monotonic() is the asyncio loop clock, so slab stamps
             # compare directly against _Pending.enqueued_at
@@ -477,7 +423,7 @@ class TuningService:
                     out=self._scratch(sum(len(req.candidates) for req in slab)),
                 )
                 t_encoded = time.monotonic()
-                scores = self._score(version, model, X)
+                scores = model.decision_function(X)
                 t_scored = time.monotonic()
             except Exception:
                 # one unencodable request (e.g. kernel radius beyond the
@@ -488,50 +434,26 @@ class TuningService:
                 continue
             self.telemetry.record_scored(len(X))
             splits = np.cumsum([len(req.candidates) for req in slab])[:-1]
-            row_blocks = np.split(X, splits) if self.encode_cache is not None else None
-            for i, (rep, s) in enumerate(zip(slab, np.split(scores, splits))):
-                if row_blocks is not None:
-                    self.encode_cache.put(
-                        rep.cache_key[0], rep.candidates_hash, row_blocks[i]
-                    )
+            for rep, s in zip(slab, np.split(scores, splits)):
                 group = unique[rep.cache_key]
                 for req in group:
                     if req.trace is not None:
-                        req.t_slab = (t_start, t_encoded, t_scored, len(X), False)
+                        req.t_slab = (t_start, t_encoded, t_scored, len(X))
                 self._finish_group(version, group, s)
 
     def _scratch(self, rows: int) -> np.ndarray:
         """The reusable encode buffer, grown (never shrunk) to ``rows``.
 
         Growth is geometric, so a service settles at one resident buffer
-        matched to its workload — at most a ``max_rows_per_pass`` slab
+        matched to its workload — at most a ``MAX_ROWS_PER_PASS`` slab
         (unless a single over-cap candidate set forces more) — while
         small-query services never pay for a slab they will not fill.
         """
         current = 0 if self._encode_scratch is None else self._encode_scratch.shape[0]
         if current < rows:
-            size = min(max(rows, 2 * current), max(rows, self.max_rows_per_pass))
-            self._encode_scratch = np.empty(
-                (size, self.encoder.num_features), dtype=self.dtype
-            )
+            size = min(max(rows, 2 * current), max(rows, MAX_ROWS_PER_PASS))
+            self._encode_scratch = np.empty((size, self.encoder.num_features))
         return self._encode_scratch
-
-    def _score(self, version: str, model: RankSVM, X: np.ndarray) -> np.ndarray:
-        """Score encoded rows at the service's precision.
-
-        float64 goes through ``decision_function`` (bit-identical to the
-        offline ranker).  float32 multiplies against a per-version
-        float32 copy of the weights directly — ``decision_function`` casts
-        its input up to float64, which would silently undo the narrow
-        encode and hand back a float64 array that merely *started* narrow.
-        """
-        if self.dtype == np.float64:
-            return model.decision_function(X)
-        w32 = self._w32.get(version)
-        if w32 is None:
-            w32 = model.w_.astype(np.float32)
-            self._w32[version] = w32
-        return X @ w32
 
     def _slabs(self, reps: list[_Pending]) -> "list[list[_Pending]]":
         """Greedily pack requests into row-bounded fused-pass slabs.
@@ -545,7 +467,7 @@ class TuningService:
         rows = 0
         for rep in reps:
             n = len(rep.candidates)
-            if current and rows + n > self.max_rows_per_pass:
+            if current and rows + n > MAX_ROWS_PER_PASS:
                 slabs.append(current)
                 current, rows = [], 0
             current.append(rep)
@@ -561,11 +483,9 @@ class TuningService:
         rep = group[0]
         t_start = time.monotonic()
         try:
-            X = self.encoder.encode_many(
-                [(rep.instance, rep.candidates)], dtype=self.dtype
-            )
+            X = self.encoder.encode_many([(rep.instance, rep.candidates)])
             t_encoded = time.monotonic()
-            s = self._score(version, model, X)
+            s = model.decision_function(X)
             t_scored = time.monotonic()
         except Exception as exc:
             for req in group:
@@ -574,7 +494,7 @@ class TuningService:
         self.telemetry.record_scored(len(X))
         for req in group:
             if req.trace is not None:
-                req.t_slab = (t_start, t_encoded, t_scored, len(X), False)
+                req.t_slab = (t_start, t_encoded, t_scored, len(X))
         self._finish_group(version, group, s)
 
     def _finish_group(
@@ -618,7 +538,6 @@ class TuningService:
             while len(self._models) > self.max_cached_models:
                 evicted, _ = self._models.popitem(last=False)
                 self.cache.invalidate_version(evicted)
-                self._w32.pop(evicted, None)
         else:
             self._models.move_to_end(version)
         return model
@@ -653,18 +572,14 @@ class TuningService:
             )
 
         if req.t_slab is not None:
-            t_start, t_encoded, t_scored, slab_rows, enc_cached = req.t_slab
+            t_start, t_encoded, t_scored, slab_rows = req.t_slab
             return (
                 span("service-queue", req.enqueued_at, t_start),
                 span(
                     "encode",
                     t_start,
                     t_encoded,
-                    {
-                        "rows": len(req.candidates),
-                        "slab_rows": slab_rows,
-                        "encode_cache": enc_cached,
-                    },
+                    {"rows": len(req.candidates), "slab_rows": slab_rows},
                 ),
                 span("score", t_encoded, t_scored, {"slab_rows": slab_rows}),
                 span("service-finish", t_scored, now),

@@ -80,7 +80,6 @@ from repro.service.ipc import (
 )
 from repro.service.registry import LATEST, ModelRegistry
 from repro.service.server import TuningService
-from repro.service.shm import DEFAULT_SLOT_BYTES, DEFAULT_SLOTS, ScoreSlabRing
 
 __all__ = ["WorkerConfig", "socket_worker_main", "worker_main"]
 
@@ -95,7 +94,6 @@ class WorkerConfig:
     cache_entries: int = 4096
     latency_window: int = 4096
     max_cached_models: int = 8
-    max_rows_per_pass: int = 32768
     #: stream every Nth successful answer back to the coordinator as a
     #: :class:`~repro.service.ipc.FeedbackRecord` (0 = no feedback stream)
     feedback_every: int = 0
@@ -103,16 +101,6 @@ class WorkerConfig:
     heartbeat_interval_s: float = 0.25
     #: fault injections for chaos drills (None = behave perfectly)
     chaos: "ChaosConfig | None" = None
-    #: serving precision ("float64" default; "float32" opt-in — top-k
-    #: agreement instead of bit identity, see docs/serving.md)
-    dtype: str = "float64"
-    #: the coordinator-created score slab segment to attach (None: no
-    #: shared-memory transport — every score array pickles over the pipe)
-    slab_name: "str | None" = None
-    slab_slots: int = DEFAULT_SLOTS
-    slab_slot_bytes: int = DEFAULT_SLOT_BYTES
-    #: row budget of the instance-keyed encode cache (0 = disabled)
-    encode_cache_rows: int = 32768
 
 
 def worker_main(worker_id: int, registry_root: str, conn: Connection, config: WorkerConfig) -> None:
@@ -186,20 +174,10 @@ async def _serve(
     # RankReply.spans back to the coordinator's recorder (same-host
     # monotonic clocks, so they compose with coordinator timestamps)
     service.trace_process = f"worker-{worker_id}"
-    ring: "ScoreSlabRing | None" = None
-    if config.slab_name:
-        try:
-            ring = ScoreSlabRing.attach(
-                config.slab_name, config.slab_slots, config.slab_slot_bytes
-            )
-        except Exception:
-            # the segment is gone or the platform refused the mapping:
-            # every score array pickles instead — slower, never wrong
-            ring = None
     sender = _ReplySender(conn)
     if config.feedback_every > 0:
         service.add_response_hook(
-            _feedback_streamer(service, sender, ring, worker_id, config)
+            _feedback_streamer(service, sender, worker_id, config)
         )
     loop = asyncio.get_running_loop()
     inbox: "asyncio.Queue[object]" = asyncio.Queue()
@@ -264,7 +242,7 @@ async def _serve(
                     StatsReply(
                         req_id=msg.req_id,
                         worker_id=worker_id,
-                        stats=_stats_with_chaos(service, chaos, ring, wire),
+                        stats=_stats_with_chaos(service, chaos, wire),
                         latency_window=service.telemetry.window(),
                     ),
                 )
@@ -274,7 +252,7 @@ async def _serve(
                 # happened to unpickle): losing it must not lose the worker
                 continue
             task = asyncio.create_task(
-                _handle(service, conn, sender, ring, msg, worker_id, chaos)
+                _handle(service, conn, sender, msg, worker_id, chaos)
             )
             inflight.add(task)
             task.add_done_callback(inflight.discard)
@@ -292,7 +270,6 @@ async def _serve(
 def _feedback_streamer(
     service: TuningService,
     sender: _ReplySender,
-    ring: "ScoreSlabRing | None",
     worker_id: int,
     config: WorkerConfig,
 ):
@@ -303,9 +280,7 @@ def _feedback_streamer(
     :class:`~repro.service.ipc.ReplyBatch` frames as the replies they ride
     with.  Preset requests (the service's own shared candidate list)
     travel as ``candidates=None``; the coordinator regenerates the
-    identical list from its memo.  Scores park in the slab ring when a
-    slot is free (the coordinator copies them out and releases before
-    fanning the record to listeners) and pickle otherwise.
+    identical list from its memo.
     """
     state = {"count": 0}
 
@@ -319,17 +294,11 @@ def _feedback_streamer(
             if service.is_default_set(instance.dims, candidates)
             else list(candidates)
         )
-        scores = np.asarray(response.scores)
-        payload = scores
-        if ring is not None:
-            ref = ring.write(scores)
-            if ref is not None:
-                payload = ref
         sender.send(
             FeedbackRecord(
                 instance=instance,
                 candidates=wire_candidates,
-                scores=payload,
+                scores=np.asarray(response.scores),
                 model_version=response.model_version,
                 worker_id=worker_id,
             )
@@ -352,7 +321,6 @@ async def _heartbeat_loop(conn: Connection, worker_id: int, interval_s: float) -
 def _stats_with_chaos(
     service: TuningService,
     chaos: "ChaosState | None",
-    ring: "ScoreSlabRing | None" = None,
     wire: "dict | None" = None,
 ) -> dict:
     stats = service.stats()
@@ -360,8 +328,6 @@ def _stats_with_chaos(
     # coordinator's merged stats can sum them cluster-wide
     stats["registry_corruption_detected_total"] = service.registry.corruption_detected
     stats["registry_corruption_fallbacks_total"] = service.registry.corruption_fallbacks
-    if ring is not None:
-        stats.update(ring.stats())
     if wire is not None:
         stats.update(wire)
     if chaos is not None:
@@ -373,7 +339,6 @@ async def _handle(
     service: TuningService,
     conn: Connection,
     sender: _ReplySender,
-    ring: "ScoreSlabRing | None",
     req: RankRequest,
     worker_id: int,
     chaos: "ChaosState | None" = None,
@@ -399,9 +364,6 @@ async def _handle(
     except Exception as exc:
         response, err = None, exc
     if chaos is not None:
-        # the reply's fate is decided *before* any slab write: a dropped
-        # or corrupted reply whose scores already claimed a slot would
-        # leak it forever — the coordinator never sees the ref to release
         fate = chaos.reply_fate(ordinal)
         if fate == "drop":
             return
@@ -424,18 +386,11 @@ async def _handle(
     else:  # pragma: no cover - defensive: a response without an order
         ranked = list(response.ranked)
         ranked_idx = None
-    scores: "object | None" = None
-    if req.include_scores and response.scores is not None:
-        scores = response.scores
-        if ring is not None:
-            ref = ring.write(response.scores)
-            if ref is not None:
-                scores = ref
     sender.send(
         RankReply(
             req_id=req.req_id,
             ranked=ranked,
-            scores=scores,
+            scores=response.scores if req.include_scores else None,
             model_version=response.model_version,
             cached=response.cached,
             service_latency_s=response.latency_s,

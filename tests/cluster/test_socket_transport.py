@@ -15,8 +15,8 @@ is the proof:
   serve the same bytes, a failed dial degrades to a reported missing
   worker, and a severed remote link re-dials like a crashed local worker
   restarts;
-* shm score transport degrades gracefully: socket workers ship scores on
-  the wire (no slab lease), same answers.
+* on every link, scores arrive as an owned ``float64`` array equal to the
+  oracle, which stays readable after ``release()`` and ``stop()``.
 """
 
 from __future__ import annotations
@@ -72,12 +72,14 @@ class TestSocketConformance:
             assert_response_matches(topk, ranked, scores, top_k=5)
 
     def test_pipe_socket_and_mixed_fleets_answer_identical_bytes(
-        self, make_cluster
+        self, make_cluster, cluster_tuner
     ):
         """The cross-transport determinism pin: the same DriftingWorkload
         against pipe workers, socket workers, and a mixed fleet returns
         byte-identical rankings, scores and worker attribution — and each
-        fleet's telemetry tells the same request story."""
+        fleet's telemetry tells the same request story.  On every fleet the
+        scores are an owned float64 array equal to the oracle, before and
+        after ``release()`` and ``cluster.stop()``."""
         requests = workload_requests(24, seed=47)
         fleets = {
             "pipe": make_cluster(n_workers=2, transport="pipe"),
@@ -100,6 +102,24 @@ class TestSocketConformance:
             assert stats["cluster"]["missing_workers"] == 0, name
             assert stats["missing_workers"] == [], name
             assert stats["cluster"]["corrupted_frames_total"] == 0, name
+        oracle = [expected_answer(cluster_tuner, q, c)[1] for q, c in requests]
+
+        def assert_owned_oracle_scores() -> None:
+            for name, responses in answers.items():
+                for want, response in zip(oracle, responses):
+                    got = response.scores
+                    assert isinstance(got, np.ndarray), name
+                    assert got.dtype == np.float64, name
+                    assert got.flags.owndata, name
+                    assert np.array_equal(got, want), name
+
+        assert_owned_oracle_scores()
+        for responses in answers.values():
+            for response in responses:
+                response.release()
+        for cluster in fleets.values():
+            cluster.stop()
+        assert_owned_oracle_scores()
 
 
 class TestSocketResilience:
@@ -154,22 +174,6 @@ class TestSocketResilience:
         assert cluster.corrupted_frames >= 1
         assert cluster.frame_decode_bugs == 0
         assert cluster.crashes == 0, "frame corruption must never look like a crash"
-
-    def test_shm_degrades_to_wire_scores_for_socket_workers(
-        self, make_cluster, cluster_tuner
-    ):
-        """``score_transport='shm'`` on a socket fleet: no slab leases (the
-        cross-host posture ships scores on the wire), same bytes."""
-        requests = workload_requests(6, seed=61)
-        cluster = make_cluster(
-            n_workers=2, transport="socket", score_transport="shm"
-        )
-        for (instance, candidates), response in zip(
-            requests, _drain(cluster, requests)
-        ):
-            assert response.slab_lease is None
-            ranked, scores = expected_answer(cluster_tuner, instance, candidates)
-            assert_response_matches(response, ranked, scores)
 
 
 class TestRemoteWorkers:

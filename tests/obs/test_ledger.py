@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
 
 import pytest
 
@@ -18,7 +20,7 @@ from repro.obs.ledger import (
 
 
 class TestRows:
-    def test_row_shape(self):
+    def test_row_shape(self, monkeypatch):
         row = ledger_row("cluster", {"rps": 120.5}, extra={"n": 256})
         assert row["schema"] == LEDGER_SCHEMA_VERSION
         assert row["benchmark"] == "cluster"
@@ -26,6 +28,17 @@ class TestRows:
         assert row["extra"] == {"n": 256}
         assert isinstance(row["cpu_count"], int) and row["cpu_count"] >= 1
         assert isinstance(row["git_sha"], str) and row["git_sha"]
+        if row["git_sha"] == "unknown":
+            assert row["dirty"] is None
+        else:
+            assert isinstance(row["dirty"], bool)
+
+        def no_git(*args, **kwargs):
+            raise OSError("git not installed")
+
+        monkeypatch.setattr(subprocess, "run", no_git)
+        row = ledger_row("cluster", {"rps": 120.5})
+        assert row["git_sha"] == "unknown" and row["dirty"] is None
 
     def test_non_numeric_metric_rejected(self):
         with pytest.raises(TypeError, match="must be numeric"):
@@ -235,6 +248,27 @@ class TestSentinel:
         assert report["ok"]
         assert report["n_history"] == 0
         assert report["checks"]["latency_ms"]["verdict"] == "insufficient-history"
+
+    def test_rows_from_another_cpu_count_are_not_compared(self, monkeypatch):
+        """1-core history checked on a 2-core machine is no history at all:
+        a run on more cores must not be judged against fewer."""
+        history = _history("cluster", [10.0, 11.0, 10.5])
+        for row in history:
+            row["cpu_count"] = 1
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        report = check_regression(
+            history, "cluster", {"latency_ms": 100.0},
+            {"latency_ms": ("lower", 2.0)},
+        )
+        assert report["ok"]
+        assert report["n_history"] == 0
+        assert report["checks"]["latency_ms"]["verdict"] == "insufficient-history"
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        same = check_regression(
+            history, "cluster", {"latency_ms": 100.0},
+            {"latency_ms": ("lower", 2.0)},
+        )
+        assert same["checks"]["latency_ms"]["verdict"] == "regressed"
 
     def test_unknown_sha_rows_never_collapse(self):
         """Runs outside a checkout can't be proven same-build: keep each."""

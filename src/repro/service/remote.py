@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import socket
 import threading
 
 from repro.service.ipc import Hello, recv_frame
@@ -93,7 +94,13 @@ class RemoteWorkerHost:
         """Close the listener and every live worker connection."""
         self._stopping = True
         try:
-            self._listener.close()  # unblocks accept()
+            # close() alone leaves a thread blocked in accept() asleep on
+            # Linux; shutdown() wakes it
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
+            self._listener.close()
         except OSError:
             pass
         with self._lock:

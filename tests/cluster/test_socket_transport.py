@@ -175,6 +175,24 @@ class TestSocketResilience:
         assert cluster.frame_decode_bugs == 0
         assert cluster.crashes == 0, "frame corruption must never look like a crash"
 
+    def test_shm_degrades_to_wire_scores_for_socket_workers(
+        self, make_cluster, cluster_tuner
+    ):
+        """Socket workers ship scores on the wire: every response carries an
+        owned float64 array with the oracle's bytes.  No score ever lives in
+        shared memory, so there is nothing to degrade from — wire scores are
+        the only path, on sockets as on pipes."""
+        requests = workload_requests(6, seed=61)
+        cluster = make_cluster(n_workers=2, transport="socket")
+        for (instance, candidates), response in zip(
+            requests, _drain(cluster, requests)
+        ):
+            assert isinstance(response.scores, np.ndarray)
+            assert response.scores.dtype == np.float64
+            assert response.scores.flags.owndata
+            ranked, scores = expected_answer(cluster_tuner, instance, candidates)
+            assert_response_matches(response, ranked, scores)
+
 
 class TestRemoteWorkers:
     def test_remote_worker_serves_bit_identical_answers(
@@ -239,11 +257,14 @@ class TestRemoteWorkers:
             cluster = make_cluster(n_workers=1, remote_workers=[host.address])
             _drain(cluster, requests[:4])
             cluster.kill_worker(1)  # severs the TCP link
-            wait_until(lambda: cluster.crashes >= 1, timeout_s=15)
-            wait_until(
+            assert wait_until(lambda: cluster.crashes >= 1, timeout_s=15)
+            assert wait_until(
                 lambda: set(cluster.alive_workers()) == {0, 1}, timeout_s=30
             )
-            assert host.workers_served == 2  # the re-dial was a fresh adoption
+            # the re-dial was a fresh adoption; the host counts it when its
+            # serve thread reads the Hello, which can land after the
+            # coordinator has already routed to the new link
+            assert wait_until(lambda: host.workers_served == 2, timeout_s=15)
             for instance, candidates in requests[4:]:
                 response = cluster.submit(instance, candidates).result(timeout=120)
                 ranked, scores = expected_answer(

@@ -12,7 +12,7 @@ repeat lands on its owner's cache, so the cluster does the distinct-
 instance encodes once and answers the rest from per-worker LRUs.
 
 A second, deliberately encode-heavy row (64 distinct instances × 4) is
-recorded for the regime where fused encodes dominate.  The single-process
+recorded for the regime where encodes dominate.  The single-process
 ``TuningService`` is measured alongside for transparency: on a multi-core
 box the cluster should beat it on the encode-heavy mix (parallel
 encodes); on a 1-core box it cannot (same work + IPC), which is why every
@@ -190,7 +190,7 @@ def _warm_instances(cluster, per_worker: int = 3) -> list[StencilInstance]:
     """Warmup instances covering *every* worker's shard, none in the workload.
 
     Routing is instance-affine, so a blind warmup can leave workers cold
-    (model load, first fused encode, allocator growth) and charge that to
+    (model load, first encode, allocator growth) and charge that to
     the timed region.  The parent shares the router, so it can pick warm
     instances per shard deterministically.
     """
@@ -230,7 +230,7 @@ def _serve_cluster(
         audit=audit,
         transport=transport,
     ) as cluster:
-        # warm every worker (imports, model load, first fused preset
+        # warm every worker (imports, model load, first preset
         # encodes) off the clock — the timed region measures serving, not
         # process boot
         warm_futures = [

@@ -106,12 +106,13 @@ def main() -> None:
             merged = cluster.stats()["cluster"]
             for key in (
                 "workers", "requests_total", "completed_total", "failed_total",
-                "cache_hit_rate", "mean_batch_size",
+                "cache_hits", "cache_misses", "cache_hit_rate",
+                "scored_candidates_total",
                 "latency_p50_ms", "latency_p99_ms",
             ):
                 value = merged[key]
-                print(f"  {key:22s} {value:.3f}" if isinstance(value, float)
-                      else f"  {key:22s} {value}")
+                print(f"  {key:24s} {value:.3f}" if isinstance(value, float)
+                      else f"  {key:24s} {value}")
 
 
 if __name__ == "__main__":

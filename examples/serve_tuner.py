@@ -5,10 +5,10 @@ The end-to-end serving story (see docs/serving.md):
 1. train the ordinal-regression tuner (one-time, expensive phase);
 2. publish the model to a versioned registry and tag it ``prod``;
 3. start the async :class:`TuningService` and fire 96 concurrent ranking
-   requests over a handful of hot stencil instances — watch micro-batching
-   coalesce them and the ranking cache absorb the repeats;
+   requests over a handful of hot stencil instances — watch the ranking
+   cache absorb the repeats;
 4. publish a retrained model and move the ``prod`` tag — a hot swap the
-   running service picks up on its next batch, no restart.
+   running service picks up on its next request, no restart.
 
 Run:  python examples/serve_tuner.py
 """
@@ -46,9 +46,8 @@ async def serve_traffic(registry: ModelRegistry) -> None:
             *(service.rank(instances[i % len(instances)]) for i in range(96))
         )
         stats = service.stats()
-        print(f"answered {stats['completed_total']} requests "
-              f"in {stats['batches_total']} micro-batches "
-              f"(mean batch {stats['mean_batch_size']:.1f})")
+        print(f"answered {stats['completed_total']} requests, "
+              f"{stats['scored_candidates_total']} candidate rows scored")
         print(f"  cache: {stats['cache_hits']} hits / "
               f"{stats['cache_misses']} misses "
               f"(hit rate {stats['cache_hit_rate']:.0%})")

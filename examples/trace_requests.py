@@ -6,8 +6,8 @@ exists for:
 
 * **where does a request's time go?** — every traced request carries a
   root span plus stage spans from both sides of the worker pipe
-  (dispatch, transport, micro-batch queue, fused encode, slab score,
-  reply); ``stage_breakdown`` folds them into a per-stage attribution;
+  (dispatch, transport, service queue, encode, score, reply);
+  ``stage_breakdown`` folds them into a per-stage attribution;
 * **which requests are traced?** — a deterministic request-id hash, so
   reruns trace the identical subset at any sample rate;
 * **what do cluster-wide percentiles look like?** — per-worker

@@ -97,8 +97,7 @@ class OrdinalAutotuner:
 
         The whole mixed batch is encoded by
         :meth:`~repro.features.encoder.FeatureEncoder.encode_many` and scored
-        with a **single** stacked ``decision_function`` call — this is the
-        cross-instance path the tuning service's micro-batching rides on.
+        with a **single** stacked ``decision_function`` call.
         Returns one score vector per request, aligned with its candidates.
         """
         model = self._require_model()

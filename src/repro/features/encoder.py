@@ -300,17 +300,15 @@ class FeatureEncoder:
         (pattern, scalars, descriptor) are computed once per request and
         gathered; the tuning and interaction blocks run as **one** NumPy
         pass over all rows.  This is the cross-instance encode path that
-        micro-batching services and corpus-scale training builds need: the
-        whole mixed batch becomes a single matrix ready for one stacked
+        corpus-scale training builds and shadow evaluation need: the whole
+        mixed batch becomes a single matrix ready for one stacked
         ``decision_function`` call.
 
         ``out`` optionally supplies a preallocated C-contiguous float64
         ``(>= total rows, num_features)`` buffer; the returned matrix is a
-        view of its first rows, every cell overwritten.  A serving loop
-        encoding slab after slab reuses one resident buffer instead of
-        faulting in a fresh ~100 MB allocation per pass — on the measured
-        preset workloads that allocation churn, not the arithmetic, was
-        the dominant cost of large mixed batches.
+        view of its first rows, every cell overwritten.  The tuning
+        service encodes each request into one resident buffer this way
+        instead of faulting in a fresh preset-sized allocation per miss.
         """
         if not requests:
             return np.empty((0, self.num_features))

@@ -9,24 +9,24 @@ stage                     what the time is
 ========================  =====================================================
 ``dispatch``              coordinator: route + pickle + pipe write
 ``worker-ingress``        pipe transit + worker inbox/loop scheduling wait
-``service-queue``         micro-batcher wait + in-batch wait before the
-                          request's fused slab (or, cache path, until answered)
-``encode``                the request's slab's ``encode_many`` pass
-``score``                 the slab's stacked ``decision_function``
-``service-finish``        argsort / materialize / future resolution
+``service-queue``         model-ref resolution + ranking-cache probe before
+                          the request's encode (or, cache path, until answered)
+``encode``                the request's ``encode_many`` pass
+``score``                 the request's ``decision_function``
+``service-finish``        argsort / materialize / response build
 ``cache``                 zero-width marker: the ranking cache answered
 ``reply-egress``          reply pickle + pipe transit + coordinator reader wake
 ``retry-backoff``         detour: jittered wait before a re-dispatch
 ``degraded-score``        detour: coordinator-side fallback answer
 ========================  =====================================================
 
-Stage times are *experienced* latency (a request in a 16-query slab waits
-through the whole slab's encode, and that is what its ``encode`` span
-records); per-span ``attrs`` carry the rows/slab_rows needed to derive
-CPU shares.  Because every process on one host reads the same monotonic
-clock, worker spans and coordinator spans compose: the coordinator
-synthesizes the two transport stages from the gaps around the worker's
-span block and clamps any cross-process skew at zero.
+Stage times are *experienced* latency; the ``encode``/``score`` spans'
+``attrs`` carry the request's ``rows`` and the pass's ``slab_rows`` (one
+request per pass, so the two are equal) for CPU-share math.  Because
+every process on one host reads the same monotonic clock, worker spans
+and coordinator spans compose: the coordinator synthesizes the two
+transport stages from the gaps around the worker's span block and clamps
+any cross-process skew at zero.
 
 Determinism: whether a request is traced is a pure function of its
 request id (:func:`sample_request` hashes it against ``sample_rate``), so

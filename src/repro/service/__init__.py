@@ -5,14 +5,13 @@ matrix-vector product — makes the trained model a natural *service*.  This
 package provides the production pieces around it:
 
 * :mod:`repro.service.server` — :class:`TuningService`, the asyncio
-  front-end that micro-batches concurrent requests into fused
-  ``encode_many`` + stacked ``decision_function`` passes;
-* :mod:`repro.service.batching` — the generic request coalescer;
+  front-end that answers each request as it arrives: ranking-cache probe,
+  then ``encode_many`` + ``decision_function`` on a miss;
 * :mod:`repro.service.cache` — the LRU :class:`RankingCache` keyed by
   (instance fingerprint, candidate-set hash, model version);
 * :mod:`repro.service.registry` — the versioned, tagged
   :class:`ModelRegistry` with atomic writes and fingerprint validation;
-* :mod:`repro.service.telemetry` — request/batch/cache/latency counters,
+* :mod:`repro.service.telemetry` — request/cache/latency counters,
   plus :func:`merge_stats` for cluster-wide aggregation;
 * :mod:`repro.service.cluster` — :class:`ServiceCluster`, the
   multi-process scale-out: instance-affine
@@ -37,7 +36,6 @@ See ``docs/serving.md`` for the architecture and ``examples/serve_tuner.py``
 / ``examples/serve_cluster.py`` for runnable end-to-end sessions.
 """
 
-from repro.service.batching import MicroBatcher
 from repro.service.cache import (
     CachedRanking,
     InternedCandidates,
@@ -73,7 +71,6 @@ __all__ = [
     "FallbackStore",
     "HealthState",
     "InternedCandidates",
-    "MicroBatcher",
     "ModelRegistry",
     "RankingCache",
     "RankingResponse",

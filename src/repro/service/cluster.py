@@ -17,20 +17,20 @@ reading the **same on-disk**
                                              └─────────────┬─────────────┘  │
                                                  ModelRegistry (shared root,│
                                                  tags.json re-resolved per  │
-                                                 batch → cluster-wide hot   │
+                                                 request → cluster-wide hot │
                                                  swap on one tag move) ◀────┘
 
 Properties the ``tests/cluster/`` suites pin:
 
 * **bit-identical rankings** — every worker loads the same archive bytes
-  and runs the same fused encode + ``X @ w`` + stable argsort, so a
+  and runs the same encode + ``X @ w`` + stable argsort, so a
   cluster answer equals ``OrdinalAutotuner.rank_candidates`` exactly, for
   any worker count;
 * **instance affinity** — routing is rendezvous hashing over the alive
   set (:class:`~repro.service.routing.ShardRouter`), so one instance
   always hits one worker and per-worker caches stay hot;
 * **atomic hot swap** — a promotion is one atomic tag write; each worker
-  re-resolves tags per micro-batch, so every in-flight answer is computed
+  re-resolves tags per request, so every in-flight answer is computed
   end-to-end by exactly one version (old or new, never a mixture);
 * **crash containment** — a killed worker's unanswered requests are
   requeued to the surviving shards (ranking is pure, so re-execution is
@@ -316,8 +316,6 @@ class ServiceCluster:
         start_method: "str | None" = None,
         restart_workers: bool = True,
         max_restarts: int = 3,
-        max_batch_size: int = 64,
-        max_batch_delay_s: float = 0.002,
         cache_entries: int = 4096,
         latency_window: int = 4096,
         max_cached_models: int = 8,
@@ -376,8 +374,6 @@ class ServiceCluster:
         )
         self.config = WorkerConfig(
             default_model=default_model,
-            max_batch_size=max_batch_size,
-            max_batch_delay_s=max_batch_delay_s,
             cache_entries=cache_entries,
             latency_window=latency_window,
             max_cached_models=max_cached_models,

@@ -13,9 +13,9 @@ carrying an explicit ``degraded=True`` flag, produced without any worker:
    communicates.
 2. :class:`FallbackScorer` — an in-coordinator encode+score identical to
    the workers' pipeline (same encoder rows, same ``X @ w``, same stable
-   argsort), used when the store has never seen the query.  Slower than a
-   worker (no micro-batching, runs on the monitor thread) and therefore a
-   last resort, but bit-identical to what a healthy worker would answer.
+   argsort), used when the store has never seen the query.  It runs on
+   the monitor thread with no ranking cache, and is therefore a last
+   resort, but bit-identical to what a healthy worker would answer.
 
 Degradation is answer-shaped load shedding; queue-shaped shedding is
 :class:`ClusterOverloadedError`, raised by ``submit()`` when the cluster's

@@ -25,7 +25,7 @@ Deliberate wire economies, all load-bearing for throughput:
   vectors, and a top-k reply ships k integers;
 * replies produced in one worker event-loop iteration coalesce into a
   single :class:`ReplyBatch` frame — one pipe write (and one coordinator
-  reader wake-up) for a whole micro-batch of answers.
+  reader wake-up) for a whole burst of answers.
 
 The same preset economy applies in the opposite direction: a
 :class:`FeedbackRecord` (a served answer sampled for the coordinator's
@@ -124,7 +124,7 @@ class RankReply:
 class ReplyBatch:
     """Several loop-thread frames coalesced into one pipe write.
 
-    A worker micro-batch answers tens of requests in one event-loop
+    A burst of inbound requests is answered within one event-loop
     iteration; sending each reply as its own frame costs a pipe write
     *and* a coordinator reader wake-up apiece.  The worker's reply sender
     buffers frames produced in the same iteration and flushes them as one

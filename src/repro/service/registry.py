@@ -116,7 +116,7 @@ class ModelRegistry:
         self._tags_path = self.root / "tags.json"
         self._bak_path = self.root / "tags.json.bak"
         #: (raw bytes, parsed map) of the last tags.json read — a serving
-        #: worker re-resolves its tag on *every* micro-batch, so the poll
+        #: worker re-resolves its tag on *every* request, so the poll
         #: must cost a small read, not a JSON parse (see tags())
         self._tags_cache: "tuple[bytes, dict[str, str]] | None" = None
         self._bak_cache: "tuple[bytes, dict[str, str]] | None" = None
@@ -215,7 +215,7 @@ class ModelRegistry:
         alias when an inode is recycled within one filesystem timestamp
         tick) means a moved tag can never be served stale — this is the
         cross-process poll that lets every cluster worker observe a
-        promotion within one micro-batch.
+        promotion by its very next request.
 
         A corrupted primary (torn write, flipped bits — the envelope's
         checksum or the JSON itself fails) is counted

@@ -1,40 +1,39 @@
 """The asynchronous tuning service front-end.
 
 ``TuningService`` turns the trained ranker into ranking-as-a-service: an
-asyncio request loop accepting ``(instance, candidate set, model ref)``
-queries and answering with the model's best-first ordering.  Three layers
-make it fast under load:
+asyncio front-end accepting ``(instance, candidate set, model ref)``
+queries and answering with the model's best-first ordering.  Each request
+is served inline, in the order requests arrive:
 
-1. **Micro-batching** — concurrent requests are coalesced by a
-   :class:`~repro.service.batching.MicroBatcher`; each batch is encoded by
-   ``FeatureEncoder.encode_many`` and scored with *one* stacked
-   ``decision_function`` call across all instances in the batch (split
-   into passes of at most :data:`MAX_ROWS_PER_PASS` candidate rows).
+1. **Versioned models** — requests may name a registry version or tag;
+   the ref is resolved on every request, so publishing a new version and
+   moving a tag **hot-swaps** the model for the very next request, with no
+   restart and no dropped requests.  Loaded models are validated against
+   the service encoder's fingerprint and memoized per version.
 2. **Ranking cache** — answers are memoized per (instance fingerprint,
    candidate-set hash, model version); repeat queries return without
    re-encoding (:class:`~repro.service.cache.RankingCache`).
-3. **Versioned models** — requests may name a registry version or tag;
-   tags are re-resolved on every batch, so publishing a new version and
-   moving a tag **hot-swaps** the model with no restart and no dropped
-   requests.  Loaded models are validated against the service encoder's
-   fingerprint and memoized per version.
+3. **Scoring** — a miss is encoded by ``FeatureEncoder.encode_many`` into
+   one resident scratch buffer and scored with one ``decision_function``
+   call over the request's own candidates.
 
-There is one scoring path: float64 encoder rows, ``model.decision_function``
-(``X @ w``), then a stable argsort.  Answers are therefore bit-identical to
+An answer is the stable order of ``X @ w`` over one instance's own
+candidates, so nothing in it depends on any other request.  There is one
+scoring path: float64 encoder rows, ``model.decision_function``, then a
+stable argsort.  Answers are therefore bit-identical to
 :meth:`OrdinalAutotuner.rank_candidates` for the same model version: the
 same encoder rows, the same ``X @ w`` scoring, the same tie-breaking.
 
 Scoring runs inline on the event loop — it is a NumPy matrix product that
-releases the GIL and takes well under a millisecond per query, so handing
-it to a thread pool would cost more than it saves.
+releases the GIL, so handing it to a thread pool would cost more than it
+saves.
 """
 
 from __future__ import annotations
 
-import asyncio
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ import numpy as np
 from repro.features.encoder import FeatureEncoder
 from repro.obs.trace import Span, TraceContext
 from repro.learn.ranksvm import RankSVM
-from repro.service.batching import MicroBatcher
 from repro.service.cache import (
     CachedRanking,
     InternedCandidates,
@@ -56,14 +54,7 @@ from repro.stencil.instance import StencilInstance
 from repro.tuning.presets import preset_candidates
 from repro.tuning.vector import TuningVector
 
-__all__ = ["MAX_ROWS_PER_PASS", "RankingResponse", "TuningService"]
-
-#: cap on candidate rows encoded+scored in one fused pass.  A batch of many
-#: distinct preset-sized instances would otherwise stack a multi-GB feature
-#: matrix whose transients are page-fault-bound (measured ~5× slower than
-#: the same rows in bounded slabs); the slab boundary never splits one
-#: request, so answers stay bit-identical — each row's X @ w is independent
-MAX_ROWS_PER_PASS = 32768
+__all__ = ["RankingResponse", "TuningService"]
 
 
 @dataclass(frozen=True)
@@ -79,7 +70,7 @@ class RankingResponse:
     model_version: str
     #: whether the answer came from the ranking cache
     cached: bool
-    #: queue-to-answer latency in seconds
+    #: arrival-to-answer latency in seconds
     latency_s: float
     #: stage spans for a traced request (None when the request carried no
     #: trace context — the no-op fast path allocates nothing)
@@ -93,31 +84,6 @@ class RankingResponse:
     def best(self) -> TuningVector:
         """The top-ranked configuration."""
         return self.ranked[0]
-
-
-@dataclass
-class _Pending:
-    """A queued request plus its completion future."""
-
-    instance: StencilInstance
-    candidates: Sequence[TuningVector]
-    model_ref: str
-    future: "asyncio.Future[RankingResponse]"
-    enqueued_at: float
-    version: str = ""
-    cache_key: "tuple[int, int, str] | None" = field(default=None, repr=False)
-    #: precomputed candidate-set hash (service-owned default sets and
-    #: client-interned sets skip per-request digesting entirely)
-    candidates_hash: "int | None" = field(default=None, repr=False)
-    #: answer with only the k best candidates (None = full ranking)
-    top_k: "int | None" = None
-    #: trace identity when sampled (None: untraced, no span work at all)
-    trace: "TraceContext | None" = None
-    #: fused-pass timestamps ``(slab_start, encoded, scored, slab_rows)``
-    #: stamped on every traced request that was scored
-    t_slab: "tuple[float, float, float, int] | None" = field(
-        default=None, repr=False
-    )
 
 
 class TuningService:
@@ -136,8 +102,6 @@ class TuningService:
         registry: ModelRegistry,
         encoder: "FeatureEncoder | None" = None,
         default_model: str = LATEST,
-        max_batch_size: int = 64,
-        max_batch_delay_s: float = 0.002,
         cache_entries: int = 4096,
         latency_window: int = 4096,
         max_cached_models: int = 8,
@@ -150,9 +114,9 @@ class TuningService:
         self.cache = RankingCache(cache_entries)
         self.telemetry = ServiceTelemetry(latency_window)
         self.max_cached_models = max_cached_models
-        #: resident encode buffer reused across fused passes (lazily sized);
-        #: without it every slab faults in a fresh ~100 MB allocation, which
-        #: dominates large mixed batches on first touch
+        #: resident encode buffer reused across requests, grown to the
+        #: largest candidate set served (a preset miss would otherwise fault
+        #: in a fresh multi-MB matrix every time)
         self._encode_scratch: "np.ndarray | None" = None
         #: LRU of loaded models — a long-lived worker hot-swaps through
         #: many promotions, and retired versions must not accumulate
@@ -169,11 +133,7 @@ class TuningService:
         #: span ``process`` label for traced requests (the cluster worker
         #: overrides this with its worker identity)
         self.trace_process = "service"
-        self._batcher = MicroBatcher(
-            self._process_batch,
-            max_batch_size=max_batch_size,
-            max_delay_s=max_batch_delay_s,
-        )
+        self._running = False
 
     @classmethod
     def from_worker_config(cls, registry: ModelRegistry, config) -> "TuningService":
@@ -188,8 +148,6 @@ class TuningService:
         return cls(
             registry,
             default_model=config.default_model,
-            max_batch_size=config.max_batch_size,
-            max_batch_delay_s=config.max_batch_delay_s,
             cache_entries=config.cache_entries,
             latency_window=config.latency_window,
             max_cached_models=config.max_cached_models,
@@ -199,11 +157,11 @@ class TuningService:
 
     async def start(self) -> None:
         """Start accepting requests (idempotent)."""
-        await self._batcher.start()
+        self._running = True
 
     async def stop(self) -> None:
-        """Answer everything already queued, then stop."""
-        await self._batcher.stop()
+        """Stop accepting requests (every accepted one is already answered)."""
+        self._running = False
 
     async def __aenter__(self) -> "TuningService":
         await self.start()
@@ -214,8 +172,8 @@ class TuningService:
 
     @property
     def running(self) -> bool:
-        """Whether the request loop is accepting work."""
-        return self._batcher.running
+        """Whether the service is accepting requests."""
+        return self._running
 
     # -- request API -----------------------------------------------------------
 
@@ -229,9 +187,10 @@ class TuningService:
     ) -> RankingResponse:
         """Rank a candidate set for an instance (defaults: presets, default model).
 
-        Concurrent callers are transparently micro-batched; the awaited
-        response carries the ordering, scores, serving model version and
-        whether the ranking cache answered.
+        The request is answered inline: resolve the model ref, probe the
+        ranking cache, and on a miss encode and score this one candidate
+        set.  The response carries the ordering, scores, serving model
+        version and whether the ranking cache answered.
 
         ``candidates`` may be a pre-interned set (see
         :func:`~repro.service.cache.intern_candidates`) so repeat clients
@@ -245,8 +204,8 @@ class TuningService:
 
         ``trace`` attaches a :class:`~repro.obs.trace.TraceContext`: the
         answer's ``response.spans`` then carries the request's stage spans
-        (queue wait, fused encode/score, finish — or the cache path).
-        Untraced requests (the default) do no span work whatsoever.
+        (resolve and cache probe, encode, score, finish — or the cache
+        path).  Untraced requests (the default) do no span work whatsoever.
         """
         if not self.running:
             raise RuntimeError("TuningService is not running; call start() first")
@@ -259,19 +218,28 @@ class TuningService:
         else:
             candidates, candidates_hash = list(candidates), None
         self.telemetry.record_request()
-        loop = asyncio.get_running_loop()
-        pending = _Pending(
-            instance=instance,
-            candidates=candidates,
-            model_ref=model or self.default_model,
-            future=loop.create_future(),
-            enqueued_at=loop.time(),
-            candidates_hash=candidates_hash,
-            top_k=top_k,
-            trace=trace,
-        )
-        await self._batcher.submit(pending)
-        return await pending.future
+        arrived = time.monotonic()
+        stamps = None
+        try:
+            version = self.registry.resolve(model or self.default_model)
+            if candidates_hash is None:
+                candidates_hash = candidate_set_hash(candidates)
+            key = (instance_hash(instance), candidates_hash, version)
+            entry = self.cache.get(key)
+            if entry is None:
+                entry, stamps = self._score(instance, candidates, version)
+                self.cache.put(key, entry)
+        except Exception:
+            self.telemetry.record_completion(time.monotonic() - arrived, failed=True)
+            raise
+        response = self._respond(candidates, entry, top_k, trace, arrived, stamps)
+        for hook in self._response_hooks:
+            try:
+                hook(instance, candidates, response)
+            except Exception as exc:
+                self.hook_errors += 1
+                self.last_hook_error = exc
+        return response
 
     # -- feedback hooks --------------------------------------------------------
 
@@ -300,14 +268,6 @@ class TuningService:
             self._response_hooks.remove(hook)
         except ValueError:
             pass
-
-    def _notify_hooks(self, req: "_Pending", response: RankingResponse) -> None:
-        for hook in self._response_hooks:
-            try:
-                hook(req.instance, req.candidates, response)
-            except Exception as exc:
-                self.hook_errors += 1
-                self.last_hook_error = exc
 
     def _default_candidates(self, dims: int) -> tuple[list[TuningVector], int]:
         """The paper's preset set for ``dims``, with its hash, memoized.
@@ -343,182 +303,40 @@ class TuningService:
         """Telemetry + cache counters in one flat dict."""
         return {**self.telemetry.snapshot(), **self.cache.snapshot()}
 
-    # -- batch processing ------------------------------------------------------
+    # -- scoring ---------------------------------------------------------------
 
-    def _process_batch(self, batch: Sequence[_Pending]) -> None:
-        self.telemetry.record_batch(len(batch))
-        try:
-            misses = self._answer_from_cache(batch)
-            by_version: dict[str, list[_Pending]] = {}
-            for req in misses:
-                by_version.setdefault(req.version, []).append(req)
-            for version, reqs in by_version.items():
-                self._score_group(version, reqs)
-        except Exception as exc:  # defensive: never strand a future
-            for req in batch:
-                if not req.future.done():
-                    self._fail(req, exc)
+    def _score(
+        self,
+        instance: StencilInstance,
+        candidates: Sequence[TuningVector],
+        version: str,
+    ) -> "tuple[CachedRanking, tuple[float, float, float]]":
+        """Encode and score one candidate set; returns the entry and stamps.
 
-    def _answer_from_cache(self, batch: Sequence[_Pending]) -> list[_Pending]:
-        """Resolve refs, serve cache hits; returns the requests left to score.
-
-        Tag resolution happens here, once per request per batch, so a moved
-        tag takes effect on the very next batch (hot swap) while every
-        request inside one batch sees a consistent mapping.
+        The stamps ``(start, encoded, scored)`` feed a traced request's
+        ``encode``/``score`` spans.
         """
-        resolved: dict[str, str] = {}
-        misses: list[_Pending] = []
-        for req in batch:
-            try:
-                if req.model_ref not in resolved:
-                    resolved[req.model_ref] = self.registry.resolve(req.model_ref)
-                req.version = resolved[req.model_ref]
-                if req.candidates_hash is None:
-                    req.candidates_hash = candidate_set_hash(req.candidates)
-                req.cache_key = (
-                    instance_hash(req.instance),
-                    req.candidates_hash,
-                    req.version,
-                )
-            except Exception as exc:  # unknown ref / malformed request:
-                self._fail(req, exc)  # fail just this one
-                continue
-            entry = self.cache.get(req.cache_key)
-            if entry is None:
-                misses.append(req)
-            else:
-                self._answer(req, entry, cached=True)
-        return misses
-
-    def _score_group(self, version: str, reqs: list[_Pending]) -> None:
-        """Encode+score all requests of one model version in fused passes.
-
-        Identical queries that landed in the same micro-batch (same cache
-        key) are deduplicated first: one representative is encoded and
-        scored, the duplicates are answered from the just-cached entry —
-        a repeat instance never pays for encoding twice, even before the
-        LRU has seen it.  Representatives are packed into slabs of at most
-        ``MAX_ROWS_PER_PASS`` candidate rows (never splitting one request),
-        so a batch of many distinct preset-sized instances keeps its
-        transient arrays memory-resident instead of stacking one giant
-        feature matrix.
-        """
-        unique: dict[tuple[int, int, str], list[_Pending]] = {}
-        for req in reqs:
-            unique.setdefault(req.cache_key, []).append(req)
-        reps = [group[0] for group in unique.values()]
-        try:
-            model = self._model(version)
-        except Exception as exc:  # bad model: fail the whole version group
-            for req in reqs:
-                self._fail(req, exc)
-            return
-        for slab in self._slabs(reps):
-            # time.monotonic() is the asyncio loop clock, so slab stamps
-            # compare directly against _Pending.enqueued_at
-            t_start = time.monotonic()
-            try:
-                X = self.encoder.encode_many(
-                    [(req.instance, req.candidates) for req in slab],
-                    out=self._scratch(sum(len(req.candidates) for req in slab)),
-                )
-                t_encoded = time.monotonic()
-                scores = model.decision_function(X)
-                t_scored = time.monotonic()
-            except Exception:
-                # one unencodable request (e.g. kernel radius beyond the
-                # encoder's max_radius) must not poison the slab: fall back
-                # to isolating each unique query so only the culprit fails
-                for rep in slab:
-                    self._score_isolated(model, version, unique[rep.cache_key])
-                continue
-            self.telemetry.record_scored(len(X))
-            splits = np.cumsum([len(req.candidates) for req in slab])[:-1]
-            for rep, s in zip(slab, np.split(scores, splits)):
-                group = unique[rep.cache_key]
-                for req in group:
-                    if req.trace is not None:
-                        req.t_slab = (t_start, t_encoded, t_scored, len(X))
-                self._finish_group(version, group, s)
-
-    def _scratch(self, rows: int) -> np.ndarray:
-        """The reusable encode buffer, grown (never shrunk) to ``rows``.
-
-        Growth is geometric, so a service settles at one resident buffer
-        matched to its workload — at most a ``MAX_ROWS_PER_PASS`` slab
-        (unless a single over-cap candidate set forces more) — while
-        small-query services never pay for a slab they will not fill.
-        """
-        current = 0 if self._encode_scratch is None else self._encode_scratch.shape[0]
-        if current < rows:
-            size = min(max(rows, 2 * current), max(rows, MAX_ROWS_PER_PASS))
-            self._encode_scratch = np.empty((size, self.encoder.num_features))
-        return self._encode_scratch
-
-    def _slabs(self, reps: list[_Pending]) -> "list[list[_Pending]]":
-        """Greedily pack requests into row-bounded fused-pass slabs.
-
-        A single oversized request (one candidate set beyond the cap)
-        still gets its own slab — the cap bounds *stacking*, it never
-        rejects a query.
-        """
-        slabs: list[list[_Pending]] = []
-        current: list[_Pending] = []
-        rows = 0
-        for rep in reps:
-            n = len(rep.candidates)
-            if current and rows + n > MAX_ROWS_PER_PASS:
-                slabs.append(current)
-                current, rows = [], 0
-            current.append(rep)
-            rows += n
-        if current:
-            slabs.append(current)
-        return slabs
-
-    def _score_isolated(
-        self, model: RankSVM, version: str, group: list[_Pending]
-    ) -> None:
-        """Error-path scoring of one unique query (fused pass failed)."""
-        rep = group[0]
+        model = self._model(version)
         t_start = time.monotonic()
-        try:
-            X = self.encoder.encode_many([(rep.instance, rep.candidates)])
-            t_encoded = time.monotonic()
-            s = model.decision_function(X)
-            t_scored = time.monotonic()
-        except Exception as exc:
-            for req in group:
-                self._fail(req, exc)
-            return
+        X = self.encoder.encode_many(
+            [(instance, candidates)], out=self._scratch(len(candidates))
+        )
+        t_encoded = time.monotonic()
+        scores = model.decision_function(X)
+        t_scored = time.monotonic()
         self.telemetry.record_scored(len(X))
-        for req in group:
-            if req.trace is not None:
-                req.t_slab = (t_start, t_encoded, t_scored, len(X))
-        self._finish_group(version, group, s)
-
-    def _finish_group(
-        self, version: str, group: list[_Pending], scores: np.ndarray
-    ) -> None:
-        """Cache and answer one scored unique query (plus its duplicates).
-
-        The full best-first list is materialized into the entry only when
-        some request in the group wants the full ranking; pure top-k
-        groups leave it for a later full request to build lazily.
-        """
-        rep = group[0]
         entry = CachedRanking(
             order=np.argsort(-scores, kind="stable"),
-            scores=np.asarray(scores),
+            scores=scores,
             model_version=version,
         )
-        if any(req.top_k is None for req in group):
-            entry.materialize(rep.candidates)
-        self.cache.put(rep.cache_key, entry)
-        self._answer(rep, entry, cached=False)
-        for dup in group[1:]:
-            # route through get() so LRU recency and hit counters see it
-            self._answer(dup, self.cache.get(dup.cache_key), cached=True)
+        return entry, (t_start, t_encoded, t_scored)
+
+    def _scratch(self, rows: int) -> np.ndarray:
+        """The reusable encode buffer, grown (never shrunk) to ``rows``."""
+        if self._encode_scratch is None or self._encode_scratch.shape[0] < rows:
+            self._encode_scratch = np.empty((rows, self.encoder.num_features))
+        return self._encode_scratch
 
     def _model(self, version: str) -> RankSVM:
         """The memoized model for a concrete version (fingerprint-checked).
@@ -544,86 +362,79 @@ class TuningService:
 
     # -- completion ------------------------------------------------------------
 
-    def _latency(self, req: _Pending) -> float:
-        return asyncio.get_running_loop().time() - req.enqueued_at
-
     def _build_spans(
-        self, req: _Pending, cached: bool, now: float
+        self,
+        trace: TraceContext,
+        rows: int,
+        arrived: float,
+        stamps: "tuple[float, float, float] | None",
+        now: float,
     ) -> tuple[Span, ...]:
         """The traced request's stage spans (partitioning its wall time).
 
-        A request that waited through a fused slab gets queue → encode →
-        score → finish (slab durations are *experienced* latency; attrs
-        carry the request's own rows vs the slab's for CPU-share math).  A
-        cache-path answer is all queue wait plus a zero-width ``cache``
-        marker.
+        A scored request gets queue → encode → score → finish, where the
+        queue stage is ref resolution and the cache probe.  A cache-path
+        answer is all queue plus a zero-width ``cache`` marker.
         """
-        ctx = req.trace
 
         def span(name: str, start: float, end: float, attrs: "dict | None" = None) -> Span:
             return Span(
-                trace_id=ctx.trace_id,
+                trace_id=trace.trace_id,
                 name=name,
                 start_s=start,
                 duration_s=max(0.0, end - start),
                 process=self.trace_process,
-                req_id=ctx.req_id,
+                req_id=trace.req_id,
                 attrs=attrs,
             )
 
-        if req.t_slab is not None:
-            t_start, t_encoded, t_scored, slab_rows = req.t_slab
+        if stamps is not None:
+            t_start, t_encoded, t_scored = stamps
             return (
-                span("service-queue", req.enqueued_at, t_start),
-                span(
-                    "encode",
-                    t_start,
-                    t_encoded,
-                    {"rows": len(req.candidates), "slab_rows": slab_rows},
-                ),
-                span("score", t_encoded, t_scored, {"slab_rows": slab_rows}),
+                span("service-queue", arrived, t_start),
+                span("encode", t_start, t_encoded, {"rows": rows, "slab_rows": rows}),
+                span("score", t_encoded, t_scored, {"slab_rows": rows}),
                 span("service-finish", t_scored, now),
             )
         return (
-            span("service-queue", req.enqueued_at, now),
-            span("cache", now, now, {"hit": bool(cached)}),
+            span("service-queue", arrived, now),
+            span("cache", now, now, {"hit": True}),
         )
 
-    def _answer(self, req: _Pending, entry: CachedRanking, cached: bool) -> None:
-        if req.future.done():  # cancelled by the caller
-            return
-        latency = self._latency(req)
+    def _respond(
+        self,
+        candidates: Sequence[TuningVector],
+        entry: CachedRanking,
+        top_k: "int | None",
+        trace: "TraceContext | None",
+        arrived: float,
+        stamps: "tuple[float, float, float] | None",
+    ) -> RankingResponse:
+        """Build the response; ``stamps`` is None for a ranking-cache hit."""
+        now = time.monotonic()
+        latency = now - arrived
         self.telemetry.record_completion(latency)
-        if req.top_k is not None:
+        if top_k is not None:
             # top-k mode: never build the full list for this request —
             # slice the memoized one if present, else pick from the order
             ranked = (
-                entry.ranked[: req.top_k]
+                entry.ranked[:top_k]
                 if entry.ranked is not None
-                else [req.candidates[i] for i in entry.order[: req.top_k].tolist()]
+                else [candidates[i] for i in entry.order[:top_k].tolist()]
             )
         else:
             # full ranking: materialize into the entry once, share after
-            ranked = list(entry.materialize(req.candidates))
-        response = RankingResponse(
+            ranked = list(entry.materialize(candidates))
+        return RankingResponse(
             ranked=ranked,
             scores=entry.scores,
             model_version=entry.model_version,
-            cached=cached,
+            cached=stamps is None,
             latency_s=latency,
             spans=(
-                self._build_spans(req, cached, req.enqueued_at + latency)
-                if req.trace is not None
+                self._build_spans(trace, len(candidates), arrived, stamps, now)
+                if trace is not None
                 else None
             ),
             order=entry.order,
         )
-        req.future.set_result(response)
-        if self._response_hooks:
-            self._notify_hooks(req, response)
-
-    def _fail(self, req: _Pending, exc: Exception) -> None:
-        if req.future.done():  # cancelled by the caller
-            return
-        self.telemetry.record_completion(self._latency(req), failed=True)
-        req.future.set_exception(exc)

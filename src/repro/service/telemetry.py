@@ -1,11 +1,11 @@
-"""Service telemetry: request counters, batch shapes and latency quantiles.
+"""Service telemetry: request counters, scored rows and latency quantiles.
 
 The tuning service records enough to answer the operational questions a
-ranking service gets asked: how many requests, how well micro-batching is
-coalescing them (batches formed, mean/max batch size), how often the
-ranking cache answers without re-encoding, and where the latency quantiles
-sit.  Latencies are kept in a bounded sliding window so a long-lived
-service node reports *recent* p50/p99, not all-time averages.
+ranking service gets asked: how many requests, how many candidate rows
+went through encode and score, how often the ranking cache answers without
+re-encoding, and where the latency quantiles sit.  Latencies are kept in
+a bounded sliding window so a long-lived service node reports *recent*
+p50/p99, not all-time averages.
 
 A multi-process cluster has one telemetry object **per worker**;
 :func:`merge_stats` folds those snapshots into one cluster view — summed
@@ -40,9 +40,6 @@ class ServiceTelemetry:
         self.requests_total = 0
         self.completed_total = 0
         self.failed_total = 0
-        self.batches_total = 0
-        self.batched_requests_total = 0
-        self.max_batch_size = 0
         self.scored_candidates_total = 0
         self.degraded_total = 0
         self.shed_total = 0
@@ -54,14 +51,8 @@ class ServiceTelemetry:
     # -- recording -------------------------------------------------------------
 
     def record_request(self) -> None:
-        """A request was accepted into the queue."""
+        """A request was accepted."""
         self.requests_total += 1
-
-    def record_batch(self, size: int) -> None:
-        """A micro-batch of ``size`` requests was formed."""
-        self.batches_total += 1
-        self.batched_requests_total += size
-        self.max_batch_size = max(self.max_batch_size, size)
 
     def record_scored(self, num_candidates: int) -> None:
         """``num_candidates`` rows went through encode+score (cache misses)."""
@@ -85,13 +76,6 @@ class ServiceTelemetry:
         self.shed_total += 1
 
     # -- reporting -------------------------------------------------------------
-
-    @property
-    def mean_batch_size(self) -> float:
-        """Average requests per micro-batch (0 before the first batch)."""
-        if self.batches_total == 0:
-            return 0.0
-        return self.batched_requests_total / self.batches_total
 
     def latency_percentile(self, q: float) -> float:
         """Latency percentile over the sliding window, in seconds."""
@@ -120,9 +104,6 @@ class ServiceTelemetry:
             "requests_total": self.requests_total,
             "completed_total": self.completed_total,
             "failed_total": self.failed_total,
-            "batches_total": self.batches_total,
-            "mean_batch_size": self.mean_batch_size,
-            "max_batch_size": self.max_batch_size,
             "scored_candidates_total": self.scored_candidates_total,
             "degraded_total": self.degraded_total,
             "shed_total": self.shed_total,
@@ -134,8 +115,7 @@ class ServiceTelemetry:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ServiceTelemetry(requests={self.requests_total}, "
-            f"batches={self.batches_total}, "
-            f"mean_batch={self.mean_batch_size:.1f})"
+            f"scored={self.scored_candidates_total})"
         )
 
 
@@ -144,7 +124,6 @@ _SUMMED = (
     "requests_total",
     "completed_total",
     "failed_total",
-    "batches_total",
     "scored_candidates_total",
     "degraded_total",
     "shed_total",
@@ -165,9 +144,7 @@ def merge_stats(
 ) -> dict:
     """Fold per-worker ``service.stats()`` snapshots into one cluster view.
 
-    * counters sum; ``max_batch_size`` takes the max;
-    * ``mean_batch_size`` is recomputed as total batched requests over
-      total batches (recovered from each worker's own mean × count);
+    * counters sum;
     * ``cache_hit_rate`` is recomputed over the summed lookups;
     * ``latency_p50_ms``/``latency_p99_ms``: when **every** snapshot
       carries a compatible ``latency_hist``, the histograms are merged
@@ -178,13 +155,11 @@ def merge_stats(
       windows when provided (cluster-wide percentiles), else 0.
 
     >>> merged = merge_stats([
-    ...     {"requests_total": 3, "batches_total": 1, "mean_batch_size": 3.0,
-    ...      "max_batch_size": 3, "cache_hits": 2, "cache_misses": 1},
-    ...     {"requests_total": 1, "batches_total": 1, "mean_batch_size": 1.0,
-    ...      "max_batch_size": 1, "cache_hits": 0, "cache_misses": 1},
+    ...     {"requests_total": 3, "cache_hits": 2, "cache_misses": 1},
+    ...     {"requests_total": 1, "cache_hits": 0, "cache_misses": 1},
     ... ], [[0.1], [0.3]])
-    >>> merged["requests_total"], merged["mean_batch_size"]
-    (4, 2.0)
+    >>> merged["requests_total"], merged["cache_misses"]
+    (4, 2)
     >>> round(merged["cache_hit_rate"], 3)
     0.5
 
@@ -205,15 +180,6 @@ def merge_stats(
     }
     for key in _SUMMED:
         merged[key] = sum(int(s.get(key, 0)) for s in live)
-    merged["max_batch_size"] = max(
-        (int(s.get("max_batch_size", 0)) for s in live), default=0
-    )
-    batched = sum(
-        s.get("mean_batch_size", 0.0) * s.get("batches_total", 0) for s in live
-    )
-    merged["mean_batch_size"] = (
-        batched / merged["batches_total"] if merged["batches_total"] else 0.0
-    )
     lookups = merged["cache_hits"] + merged["cache_misses"]
     merged["cache_hit_rate"] = merged["cache_hits"] / lookups if lookups else 0.0
     pooled = (

@@ -10,8 +10,8 @@ loop:
 * a reader thread blocks on ``conn.recv()`` and forwards each message to
   the loop (the loop itself must never block on the pipe);
 * each :class:`~repro.service.ipc.RankRequest` becomes a task awaiting
-  ``service.rank(...)`` — so requests micro-batch *inside* the worker
-  exactly as they would in a single-process service;
+  ``service.rank(...)``, answered exactly as a single-process service
+  answers it;
 * replies are sent from the loop thread only, which serializes pipe
   writes without a lock.
 
@@ -25,8 +25,8 @@ coordinator's :class:`~repro.online.feedback.ClusterFeedbackCollector`
 is the consumer.
 
 Hot swap needs no cluster machinery: the service re-resolves model tags
-against the on-disk registry on every micro-batch, so a tag moved by any
-process (a promotion, an operator) is observed here within one batch —
+against the on-disk registry on every request, so a tag moved by any
+process (a promotion, an operator) is observed here by the next request —
 the registry's content-cached tag reads make that poll one tiny file
 read, not a JSON parse.
 
@@ -89,8 +89,6 @@ class WorkerConfig:
     """Per-worker service knobs, shipped once at spawn time."""
 
     default_model: str = LATEST
-    max_batch_size: int = 64
-    max_batch_delay_s: float = 0.002
     cache_entries: int = 4096
     latency_window: int = 4096
     max_cached_models: int = 8
@@ -137,8 +135,8 @@ def socket_worker_main(
 class _ReplySender:
     """Coalesces replies produced in one loop iteration into one pipe write.
 
-    A worker micro-batch completes tens of ``_handle`` tasks back to back
-    on the same event-loop pass; sending each reply as its own frame costs
+    A burst of inbound requests completes its ``_handle`` tasks back to
+    back on the same event-loop pass; sending each reply as its own frame costs
     a pipe write *and* a coordinator reader wake-up apiece.  ``send``
     buffers and schedules one ``call_soon`` flush — everything buffered by
     the time the loop drains its ready queue leaves as a single

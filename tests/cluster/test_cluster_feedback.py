@@ -165,11 +165,9 @@ def test_no_stream_without_feedback_every(make_cluster):
 def test_cluster_records_match_single_process(make_cluster, cluster_registry):
     """One wire-fed collector measures exactly what an in-process one would.
 
-    Requests run one at a time on both sides so every fused pass holds
-    exactly one request — scoring is then bit-identical between the two
-    topologies and the records can be compared with ``array_equal``
-    (stacking *different* micro-batches legitimately perturbs the last
-    ulp of a score: BLAS reduction order depends on matrix height).
+    Both sides score one request per pass, so scoring is bit-identical
+    between the two topologies and the records can be compared with
+    ``array_equal``.
     """
     import asyncio
 

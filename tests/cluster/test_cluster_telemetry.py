@@ -13,13 +13,11 @@ class TestMergeStats:
     def test_counters_sum_and_rates_recompute(self):
         a = {
             "requests_total": 30, "completed_total": 28, "failed_total": 2,
-            "batches_total": 10, "mean_batch_size": 3.0, "max_batch_size": 7,
             "scored_candidates_total": 500, "cache_entries": 4,
             "cache_hits": 20, "cache_misses": 10, "cache_evictions": 1,
         }
         b = {
             "requests_total": 10, "completed_total": 10, "failed_total": 0,
-            "batches_total": 10, "mean_batch_size": 1.0, "max_batch_size": 2,
             "scored_candidates_total": 100, "cache_entries": 2,
             "cache_hits": 0, "cache_misses": 10, "cache_evictions": 0,
         }
@@ -27,9 +25,7 @@ class TestMergeStats:
         assert merged["workers"] == 2
         assert merged["requests_total"] == 40
         assert merged["failed_total"] == 2
-        assert merged["max_batch_size"] == 7
-        # 30 + 10 batched requests over 20 batches, not mean-of-means (2.0)
-        assert merged["mean_batch_size"] == pytest.approx(2.0)
+        assert merged["scored_candidates_total"] == 600
         # 20 hits over 40 lookups — a lookup-weighted rate, not the 0.33
         # that averaging each worker's rate would report
         assert merged["cache_hit_rate"] == pytest.approx(0.5)
@@ -39,7 +35,7 @@ class TestMergeStats:
         fast = [0.001] * 99
         slow = [0.1]
         merged = merge_stats(
-            [{"batches_total": 0}, {"batches_total": 0}], [fast, slow]
+            [{"requests_total": 0}, {"requests_total": 0}], [fast, slow]
         )
         pooled = np.percentile(np.array(fast + slow), 99) * 1e3
         assert merged["latency_p99_ms"] == pytest.approx(pooled)

@@ -45,16 +45,12 @@ class TestPercentileEdgeCases:
 
 
 class TestCounters:
-    def test_mean_batch_size_zero_before_first_batch(self):
-        assert ServiceTelemetry().mean_batch_size == 0.0
-
-    def test_batch_accounting(self):
+    def test_scored_accounting(self):
         t = ServiceTelemetry()
-        t.record_batch(4)
-        t.record_batch(8)
-        assert t.batches_total == 2
-        assert t.mean_batch_size == pytest.approx(6.0)
-        assert t.max_batch_size == 8
+        assert t.snapshot()["scored_candidates_total"] == 0
+        t.record_scored(4)
+        t.record_scored(8)
+        assert t.snapshot()["scored_candidates_total"] == 12
 
     def test_snapshot_keys_stable(self):
         keys = set(ServiceTelemetry().snapshot())
@@ -62,9 +58,6 @@ class TestCounters:
             "requests_total",
             "completed_total",
             "failed_total",
-            "batches_total",
-            "mean_batch_size",
-            "max_batch_size",
             "scored_candidates_total",
             "degraded_total",
             "shed_total",
@@ -108,8 +101,6 @@ class TestMergeStatsEdgeCases:
     def test_no_snapshots_at_all(self):
         merged = merge_stats([])
         assert merged["workers"] == 0
-        assert merged["max_batch_size"] == 0
-        assert merged["mean_batch_size"] == 0.0
         assert merged["cache_hit_rate"] == 0.0
         assert merged["latency_p50_ms"] == 0.0
 
@@ -136,7 +127,6 @@ class TestMergeStatsEdgeCases:
         assert merged["completed_total"] == 0
         assert merged["failed_total"] == 6
         assert merged["cache_hit_rate"] == 0.0
-        assert merged["mean_batch_size"] == 0.0
         assert merged["latency_p99_ms"] >= merged["latency_p50_ms"] > 0.0
 
     def test_histogram_merge_agrees_with_pooled_window(self):
@@ -173,8 +163,8 @@ class TestMergeStatsEdgeCases:
     def test_missing_hist_falls_back_to_pooled_windows(self):
         """Pre-histogram snapshots (no ``latency_hist``) keep the old path."""
         snaps = [
-            {"requests_total": 2, "batches_total": 1, "mean_batch_size": 2.0},
-            {"requests_total": 1, "batches_total": 1, "mean_batch_size": 1.0},
+            {"requests_total": 2},
+            {"requests_total": 1},
         ]
         merged = merge_stats(snaps, [[0.1, 0.2], [0.4]])
         assert "latency_hist" not in merged
@@ -214,8 +204,6 @@ class TestMergeStatsMissingWorkers:
         assert merged["workers"] == 3
         assert merged["missing_workers"] == 3
         assert merged["requests_total"] == 0
-        assert merged["max_batch_size"] == 0
-        assert merged["mean_batch_size"] == 0.0
         assert merged["cache_hit_rate"] == 0.0
         assert merged["latency_p50_ms"] == 0.0
 

@@ -48,7 +48,7 @@ class TestEquivalence:
         assert response.model_version == "v0001"
 
     def test_mixed_batch_stays_bit_identical(self, registry, trained_tuner):
-        """All six kernels coalesced into one micro-batch must still match."""
+        """All six kernels requested concurrently must still match."""
         insts = [benchmark_by_id(label) for label in EQUIVALENCE_LABELS]
         cand_sets = [_candidates(q, seed=i) for i, q in enumerate(insts)]
 
@@ -134,8 +134,7 @@ class TestCaching:
         assert stats["requests_total"] == 64
         assert stats["completed_total"] == 64
         assert stats["failed_total"] == 0
-        assert stats["mean_batch_size"] > 1.0
-        # every request did at least one lookup (in-batch dedup adds more)
+        # every request did at least one lookup
         assert stats["cache_hits"] + stats["cache_misses"] >= 64
         # only the unique (instance, candidate-set) pairs were ever encoded
         assert stats["scored_candidates_total"] <= len(EQUIVALENCE_LABELS) * 32
@@ -160,6 +159,29 @@ class TestModelVersioning:
         assert before.model_version == "v0001"
         assert after.model_version == "v0002"
         assert not np.array_equal(before.scores, after.scores)
+
+    def test_moved_tag_takes_effect_on_next_request(
+        self, registry, trained_tuner, alternate_model
+    ):
+        """A tag moved while requests are in flight serves the very next one."""
+        inst = benchmark_by_id("laplacian-128x128x128")
+        cands = _candidates(inst)
+        v2 = registry.publish(alternate_model, trained_tuner.fingerprint())
+
+        def retag(instance, candidates, response):
+            registry.tag("prod", v2)
+
+        async def main():
+            async with TuningService(registry, default_model="prod") as service:
+                service.add_response_hook(retag)
+                return await asyncio.gather(
+                    service.rank(inst, cands), service.rank(inst, list(cands))
+                )
+
+        first, second = run(main())
+        assert first.model_version == "v0001"
+        assert second.model_version == "v0002"
+        assert not second.cached
 
     def test_explicit_version_pins_answer(self, registry, trained_tuner, alternate_model):
         inst = benchmark_by_id("blur-1024x768")
@@ -203,8 +225,8 @@ class TestModelVersioning:
         run(main())
 
     def test_malformed_request_fails_alone_service_survives(self, registry):
-        """A bad candidate payload must not kill the batch worker (or the
-        innocent requests coalesced into the same micro-batch)."""
+        """A bad candidate payload must fail alone: the concurrent innocent
+        requests are answered and the service keeps serving."""
         inst = benchmark_by_id("laplacian-128x128x128")
         good = _candidates(inst)
 
@@ -216,7 +238,7 @@ class TestModelVersioning:
                     service.rank(inst, good),
                     return_exceptions=True,
                 )
-                assert service.running  # worker survived
+                assert service.running  # service survived
                 follow_up = await service.rank(inst, good)
                 return service, results, follow_up
 
@@ -226,8 +248,8 @@ class TestModelVersioning:
         assert service.telemetry.failed_total == 1
 
     def test_unencodable_instance_fails_alone(self, registry):
-        """A kernel beyond the encoder's max_radius must not poison the
-        fused scoring pass for the rest of its micro-batch."""
+        """A kernel beyond the encoder's max_radius fails alone; the
+        concurrent requests around it are still answered."""
         from repro.stencil.instance import StencilInstance
         from repro.stencil.kernel import StencilKernel
         from repro.stencil.shapes import laplacian

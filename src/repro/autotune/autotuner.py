@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -88,40 +87,6 @@ class OrdinalAutotuner:
         scores = self.score_candidates(instance, candidates)
         order = np.argsort(-scores, kind="stable")
         return [candidates[int(i)] for i in order]
-
-    def score_candidate_sets(
-        self,
-        requests: "Sequence[tuple[StencilInstance, Sequence[TuningVector]]]",
-    ) -> list[np.ndarray]:
-        """Scores for many ``(instance, candidates)`` sets in one fused pass.
-
-        The whole mixed batch is encoded by
-        :meth:`~repro.features.encoder.FeatureEncoder.encode_many` and scored
-        with a **single** stacked ``decision_function`` call.
-        Returns one score vector per request, aligned with its candidates.
-        """
-        model = self._require_model()
-        if not requests:
-            return []
-        X = self.encoder.encode_many(requests)
-        start = time.perf_counter()
-        scores = model.decision_function(X)
-        self.last_rank_seconds = time.perf_counter() - start
-        splits = np.cumsum([len(tunings) for _, tunings in requests])[:-1]
-        return [np.asarray(s) for s in np.split(scores, splits)]
-
-    def rank_many(
-        self,
-        requests: "Sequence[tuple[StencilInstance, Sequence[TuningVector]]]",
-    ) -> list[list[TuningVector]]:
-        """Best-first orderings for many candidate sets, one fused pass."""
-        rankings = []
-        for (_, candidates), scores in zip(
-            requests, self.score_candidate_sets(requests)
-        ):
-            order = np.argsort(-scores, kind="stable")
-            rankings.append([candidates[int(i)] for i in order])
-        return rankings
 
     def tune(
         self,

@@ -15,8 +15,6 @@ workflow:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
-
 from repro.autotune.autotuner import OrdinalAutotuner
 from repro.codegen.compiler import CompiledVariant, PatusCompiler
 from repro.codegen.dsl import parse_dsl
@@ -84,52 +82,6 @@ class CompilationWorkflow:
         """Run the full §V-C flow for DSL source text."""
         kernel, _weights = parse_dsl(text)
         return self.tune_kernel(kernel, size, candidates)
-
-    def tune_kernels(
-        self,
-        specs: "Sequence[tuple[StencilKernel, tuple[int, int, int]]]",
-        candidates: "Sequence[list[TuningVector] | None] | None" = None,
-    ) -> list[TunedBinary]:
-        """Run the §V-C flow for many kernels with one fused ranking pass.
-
-        All candidate sets are encoded and scored together via
-        :meth:`OrdinalAutotuner.rank_many` (the same cross-instance path the
-        tuning service batches on), then each top pick is compiled.  The
-        chosen tunings and compiled variants match per-kernel
-        :meth:`tune_kernel` calls exactly; each binary's ``rank_seconds``
-        is its amortized share of the single fused scoring pass.
-        ``candidates`` may supply one explicit set per spec (``None``
-        entries fall back to the presets).
-        """
-        from repro.tuning.presets import preset_candidates
-
-        if candidates is None:
-            candidates = [None] * len(specs)
-        if len(candidates) != len(specs):
-            raise ValueError(
-                f"got {len(candidates)} candidate sets for {len(specs)} specs"
-            )
-        instances = [StencilInstance(kernel, size) for kernel, size in specs]
-        requests = [
-            (q, preset_candidates(q.dims) if cands is None else cands)
-            for q, cands in zip(instances, candidates)
-        ]
-        rankings = self.autotuner.rank_many(requests)
-        rank_share = self.autotuner.last_rank_seconds / max(len(specs), 1)
-        binaries = []
-        for (kernel, _size), instance, ranked in zip(specs, instances, rankings):
-            best = ranked[0]
-            variant = self.compiler.compile(kernel, instance.size, best)
-            binaries.append(
-                TunedBinary(
-                    variant=variant,
-                    instance=instance,
-                    tuning=best,
-                    rank_seconds=rank_share,
-                    compile_seconds=variant.compile_seconds,
-                )
-            )
-        return binaries
 
     def run(self, binary: TunedBinary, repeats: int = 3) -> Measurement:
         """Execute the tuned binary on the simulated machine."""

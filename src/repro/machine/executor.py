@@ -22,7 +22,7 @@ used by the autotuners:
   ranking quality can be evaluated against ground truth.
 
 **When to use scalar vs. batch**: anything that evaluates one variant at a
-time (interactive inspection, hill-climbing's single proposals) uses the
+time (interactive inspection, one-off probes) uses the
 scalar calls; anything holding a population, candidate set or training
 corpus for one instance should use the batch calls — training-set
 generation, preset ranking and the population-based searches all do.

@@ -73,9 +73,9 @@ partial ones:
   ``submit`` sheds deterministically with
   :class:`~repro.service.degrade.ClusterOverloadedError`.
 
-The parent API is thread-friendly (``submit`` returns a
-``concurrent.futures.Future``) with an async adapter (:meth:`rank`), so
-both sync drivers and asyncio applications can use the cluster directly.
+The parent API is thread-friendly: ``submit`` returns a
+``concurrent.futures.Future``, which asyncio applications await through
+``asyncio.wrap_future``.
 
 **Transports.**  Workers attach over one of three links, all speaking the
 same :mod:`~repro.service.ipc` frames (so everything above — routing,
@@ -305,7 +305,6 @@ class ServiceCluster:
         with ServiceCluster(registry_root, n_workers=4) as cluster:
             future = cluster.submit(instance)          # thread-friendly
             best = future.result().best
-            response = await cluster.rank(instance)    # or async
     """
 
     def __init__(
@@ -317,7 +316,6 @@ class ServiceCluster:
         restart_workers: bool = True,
         max_restarts: int = 3,
         cache_entries: int = 4096,
-        latency_window: int = 4096,
         max_cached_models: int = 8,
         feedback_every: int = 0,
         resilience: "ResilienceConfig | None" = None,
@@ -375,7 +373,6 @@ class ServiceCluster:
         self.config = WorkerConfig(
             default_model=default_model,
             cache_entries=cache_entries,
-            latency_window=latency_window,
             max_cached_models=max_cached_models,
             feedback_every=feedback_every,
             heartbeat_interval_s=self.resilience.heartbeat_interval_s,
@@ -634,26 +631,6 @@ class ServiceCluster:
         self._dispatch(pending)
         return pending.future
 
-    async def rank(
-        self,
-        instance: StencilInstance,
-        candidates: "Sequence[TuningVector] | InternedCandidates | None" = None,
-        model: "str | None" = None,
-        top_k: "int | None" = None,
-        include_scores: bool = True,
-        deadline_s: "float | None" = None,
-    ) -> ClusterResponse:
-        """Async adapter over :meth:`submit` for asyncio applications."""
-        import asyncio
-
-        return await asyncio.wrap_future(
-            self.submit(instance, candidates, model, top_k, include_scores, deadline_s)
-        )
-
-    def rank_sync(self, instance: StencilInstance, **kwargs: object) -> ClusterResponse:
-        """Blocking convenience wrapper: submit and wait."""
-        return self.submit(instance, **kwargs).result()  # type: ignore[arg-type]
-
     # -- feedback stream -------------------------------------------------------
 
     def add_feedback_listener(
@@ -731,8 +708,8 @@ class ServiceCluster:
         """Aggregated cluster telemetry plus each worker's own snapshot.
 
         ``cluster`` merges every worker's counters (summed totals, merged
-        hit rate, cluster-wide p50/p99 over the concatenated latency
-        windows — see :func:`repro.service.telemetry.merge_stats`);
+        hit rate, cluster-wide p50/p99 read off the exactly merged latency
+        histograms — see :func:`repro.service.telemetry.merge_stats`);
         ``workers`` maps worker id to its raw ``service.stats()``.
 
         Every non-dead worker is asked — including quarantined ones (a
@@ -781,9 +758,7 @@ class ServiceCluster:
                     handle.stats_pending.pop(req_id, None)
                 missing.append(worker_id)
         merged = merge_stats(
-            [r.stats for r in replies.values()] + [None] * len(never_connected),
-            [r.latency_window for r in replies.values()]
-            + [None] * len(never_connected),
+            [r.stats for r in replies.values()] + [None] * len(never_connected)
         )
         with self._lock:
             health = {w: b.snapshot() for w, b in sorted(self._health.items())}

@@ -162,19 +162,18 @@ class FeedbackRecord:
 
 @dataclass(frozen=True)
 class StatsRequest:
-    """Ask a worker for its service stats and telemetry window."""
+    """Ask a worker for its service stats."""
 
     req_id: int
 
 
 @dataclass(frozen=True)
 class StatsReply:
-    """One worker's ``service.stats()`` snapshot plus its latency window."""
+    """One worker's ``service.stats()`` snapshot (its latency histogram included)."""
 
     req_id: int
     worker_id: int
     stats: dict
-    latency_window: tuple[float, ...]
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,6 @@ class TuningService:
         encoder: "FeatureEncoder | None" = None,
         default_model: str = LATEST,
         cache_entries: int = 4096,
-        latency_window: int = 4096,
         max_cached_models: int = 8,
     ) -> None:
         if max_cached_models < 1:
@@ -112,7 +111,7 @@ class TuningService:
         self.encoder = encoder or FeatureEncoder()
         self.default_model = default_model
         self.cache = RankingCache(cache_entries)
-        self.telemetry = ServiceTelemetry(latency_window)
+        self.telemetry = ServiceTelemetry()
         self.max_cached_models = max_cached_models
         #: resident encode buffer reused across requests, grown to the
         #: largest candidate set served (a preset miss would otherwise fault
@@ -149,7 +148,6 @@ class TuningService:
             registry,
             default_model=config.default_model,
             cache_entries=config.cache_entries,
-            latency_window=config.latency_window,
             max_cached_models=config.max_cached_models,
         )
 

@@ -90,7 +90,6 @@ class WorkerConfig:
 
     default_model: str = LATEST
     cache_entries: int = 4096
-    latency_window: int = 4096
     max_cached_models: int = 8
     #: stream every Nth successful answer back to the coordinator as a
     #: :class:`~repro.service.ipc.FeedbackRecord` (0 = no feedback stream)
@@ -241,7 +240,6 @@ async def _serve(
                         req_id=msg.req_id,
                         worker_id=worker_id,
                         stats=_stats_with_chaos(service, chaos, wire),
-                        latency_window=service.telemetry.window(),
                     ),
                 )
                 continue

@@ -62,31 +62,6 @@ class TestInference:
         with pytest.raises(ValueError, match="top_k"):
             trained.tune(inst, top_k=top_k)
 
-    def test_rank_many_matches_per_instance_ranking(self, trained):
-        labels = ["laplacian-128x128x128", "blur-1024x768", "edge-512x512"]
-        requests = [
-            (q, patus_space(q.dims).random_vectors(40, rng=i))
-            for i, q in enumerate(benchmark_by_id(l) for l in labels)
-        ]
-        fused = trained.rank_many(requests)
-        assert fused == [
-            trained.rank_candidates(q, cands) for q, cands in requests
-        ]
-
-    def test_rank_many_empty(self, trained):
-        assert trained.rank_many([]) == []
-        assert trained.score_candidate_sets([]) == []
-
-    def test_score_candidate_sets_aligned(self, trained):
-        labels = ["laplacian-128x128x128", "edge-512x512"]
-        requests = [
-            (benchmark_by_id(l), patus_space(benchmark_by_id(l).dims).random_vectors(12, rng=9))
-            for l in labels
-        ]
-        fused = trained.score_candidate_sets(requests)
-        for (q, cands), scores in zip(requests, fused):
-            assert np.array_equal(scores, trained.score_candidates(q, cands))
-
     def test_rank_seconds_recorded(self, trained):
         inst = benchmark_by_id("laplacian-128x128x128")
         trained.score_candidates(inst, preset_candidates(3))

@@ -40,35 +40,6 @@ class TestTuneKernel:
         assert measurement.execution == binary.execution()
 
 
-class TestTuneKernelsBatch:
-    def test_matches_per_kernel_flow(self, workflow):
-        specs = [
-            (BENCHMARKS["laplacian"].kernel, (128, 128, 128)),
-            (BENCHMARKS["blur"].kernel, (1024, 768, 1)),
-            (BENCHMARKS["edge"].kernel, (512, 512, 1)),
-        ]
-        batched = workflow.tune_kernels(specs)
-        assert [b.tuning for b in batched] == [
-            workflow.tune_kernel(k, size).tuning for k, size in specs
-        ]
-
-    def test_per_spec_candidates(self, workflow):
-        kernel = BENCHMARKS["laplacian"].kernel
-        cands = workflow.autotuner.tune(
-            BENCHMARKS["laplacian"].instance((128, 128, 128)), top_k=5
-        )
-        [binary] = workflow.tune_kernels(
-            [(kernel, (128, 128, 128))], candidates=[cands]
-        )
-        assert binary.tuning in cands
-
-    def test_candidate_count_mismatch_rejected(self, workflow):
-        with pytest.raises(ValueError, match="candidate sets"):
-            workflow.tune_kernels(
-                [(BENCHMARKS["laplacian"].kernel, (128, 128, 128))], candidates=[]
-            )
-
-
 class TestTuneDsl:
     def test_dsl_entry_point(self, workflow):
         kernel = BENCHMARKS["laplacian"].kernel

@@ -1,7 +1,7 @@
 """Atomic hot swap across processes: a promotion lands everywhere, torn nowhere.
 
 A promotion is one atomic ``tags.json`` replace; every worker re-resolves
-its tag per micro-batch (two syscalls against the stat-cached registry).
+its tag on every request (two syscalls against the stat-cached registry).
 Under inflight traffic that must mean: each answer is computed end-to-end
 by exactly one version — old or new, never a half-swapped mixture — and
 shortly after the tag move, every worker serves the new version.

@@ -299,7 +299,7 @@ class TestLifecycle:
 
         run(main())
 
-    def test_latency_percentiles_ordered(self, registry):
+    def test_latency_p50_not_above_p99(self, registry):
         inst = benchmark_by_id("laplacian-128x128x128")
 
         async def main():

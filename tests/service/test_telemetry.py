@@ -159,24 +159,30 @@ class TestMergeStatsEdgeCases:
         assert merged["requests_total"] == 3
         assert merged["latency_p50_ms"] == merged["latency_p99_ms"] == 0.0
 
-    @pytest.mark.parametrize(
-        "bad_hist",
-        [
-            {"counts": "garbage"},
-            Histogram(growth=2.0).to_dict(),
-            {**Histogram().to_dict(), "counts": [1] * 1000, "count": 1000},
-            {**Histogram().to_dict(), "count": None},
-            "not a dict",
-        ],
-        ids=["garbage", "mismatched-buckets", "too-many-counts", "bad-count", "str"],
-    )
-    def test_malformed_or_mismatched_hist_does_not_raise(self, bad_hist):
-        """Stats from remote workers are outside input: a bad histogram
-        drops the latency figures, never the merge."""
+    @staticmethod
+    def _merge_with_bad_hist(bad_hist):
         a = _busy_snapshot([0.01]).snapshot()
         b = _busy_snapshot([0.02]).snapshot()
         b["latency_hist"] = bad_hist
-        merged = merge_stats([a, b])
+        return merge_stats([a, b])
+
+    def test_malformed_hist_reports_zero_latency(self):
+        """Stats from remote workers are outside input: a malformed
+        histogram drops the latency figures, never the merge."""
+        for bad_hist in (
+            {"counts": "garbage"},
+            {**Histogram().to_dict(), "counts": [1] * 1000, "count": 1000},
+            {**Histogram().to_dict(), "count": None},
+            "not a dict",
+        ):
+            merged = self._merge_with_bad_hist(bad_hist)
+            assert merged["requests_total"] == 2, bad_hist
+            assert "latency_hist" not in merged, bad_hist
+            assert merged["latency_p50_ms"] == merged["latency_p99_ms"] == 0.0, bad_hist
+
+    def test_mismatched_buckets_report_zero_latency(self):
+        """Histograms with different bucket layouts cannot be summed."""
+        merged = self._merge_with_bad_hist(Histogram(growth=2.0).to_dict())
         assert merged["requests_total"] == 2
         assert "latency_hist" not in merged
         assert merged["latency_p50_ms"] == merged["latency_p99_ms"] == 0.0
